@@ -2,15 +2,15 @@
 
 Generic machinery works on any real matrix through exact rational nullspace
 computations; specialized fast paths cover graph incidence matrices (simple
-cycles and girth) and prime-dimension partial DFT matrices (determinant and
-polynomial weight tests).
+cycles and girth) and prime-dimension partial DFT matrices (Gamma-weight
+tests).
 """
 
 from .dft import (
     GammaWeights,
     PartialDFTSpec,
+    band_spec,
     coherence_lower_bound,
-    f_gamma_eval,
     gamma_weights,
     masc_contains_dft,
     nullspace_vector_nu,

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .dft import (
+    band_spec,
     coherence_lower_bound,
     masc_contains_dft,
     s_max_exact,
@@ -134,8 +135,7 @@ def _dft_spec(args):
         return symmetrize_omega(args.n, _indices(args.omega))
     if args.mbar is None:
         raise InputError("provide --omega or --mbar")
-    n, mb = args.n, args.mbar
-    return symmetrize_omega(n, list(range(mb + 1)) + list(range(n - mb, n)))
+    return band_spec(args.n, args.mbar)
 
 
 def _cmd_dft(args) -> int:

@@ -1,9 +1,11 @@
 """Partial DFT fast path for prime dimension and real signals.
 
 Membership of a support in the always-recoverable family reduces to weight
-comparisons over candidate supports one larger than the measured row set:
-the weights are submatrix determinant magnitudes in general, and polynomial
-evaluations at roots of unity when the row set is a contiguous symmetric band.
+comparisons over candidate supports one larger than the measured row set.
+The weights are the magnitudes of the nullspace vector restricted to the
+candidate support (proportional to its submatrix minors); when the row set is
+a contiguous symmetric band they are 1/|f'_Gamma| at the roots of unity. One
+batched kernel, `_weights`, computes them for every caller.
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, NumericalBoundaryError
-from .linalg import dft_matrix, dft_root_powers
+from .linalg import dft_matrix
 from .masc import ExtremePoint, MembershipVerdict, SupportSet
 
 __all__ = [
     "PartialDFTSpec",
     "GammaWeights",
     "symmetrize_omega",
+    "band_spec",
     "nullspace_vector_nu",
-    "f_gamma_eval",
-    "f_gamma_poly_eval",
     "gamma_weights",
     "masc_contains_dft",
     "coherence_lower_bound",
@@ -38,6 +39,9 @@ __all__ = [
 
 DEFAULT_GAMMA_BUDGET = 10**6
 TIE_BAND_REL = 1e-9
+
+# entries per batched block of weight or swap evaluations (bounds peak memory)
+_BLOCK = 1 << 18
 
 
 def _is_prime(n: int) -> bool:
@@ -58,7 +62,7 @@ class PartialDFTSpec:
     """Prime dimension n and conjugate-symmetric measured row set omega.
 
     `mbar` is set when omega is the contiguous band {0..mbar, n-mbar..n-1},
-    which unlocks the polynomial weight methods. `raw_omega` records the
+    which selects the band weight formula. `raw_omega` records the
     caller's set before symmetrization.
     """
 
@@ -73,10 +77,8 @@ class PartialDFTSpec:
         for k in self.omega.indices:
             if k >= 1 and (self.n - k) not in self.omega:
                 raise InputError("omega is not conjugate symmetric")
-        if self.mbar is not None:
-            expected = _band(self.n, self.mbar)
-            if tuple(expected) != self.omega.indices or len(self.omega) > self.n - 2:
-                raise InputError("mbar inconsistent with omega")
+        if self.mbar is not None and self.mbar != _band_mbar(self.n, self.omega):
+            raise InputError("mbar inconsistent with omega")
 
     @property
     def m(self) -> int:
@@ -106,8 +108,15 @@ class GammaWeights:
             raise InputError("weights must be strictly positive and finite")
 
 
-def _band(n: int, mbar: int) -> list[int]:
-    return list(range(mbar + 1)) + list(range(n - mbar, n))
+def _band_mbar(n: int, omega: SupportSet) -> int | None:
+    """mbar when omega is the band {0..mbar, n-mbar..n-1} with mbar >= 1 and
+    |omega| <= n-2, else None. The band is the only set of 2*mbar+1 indices
+    within circular distance mbar of 0."""
+    m = len(omega)
+    if m % 2 == 0 or not 3 <= m <= n - 2:
+        return None
+    mbar = m // 2
+    return mbar if all(min(k, n - k) <= mbar for k in omega.indices) else None
 
 
 def symmetrize_omega(n: int, omega_raw) -> PartialDFTSpec:
@@ -124,121 +133,110 @@ def symmetrize_omega(n: int, omega_raw) -> PartialDFTSpec:
     closed = set(raw.indices)
     closed |= {n - k for k in raw.indices if k >= 1}
     omega = SupportSet.of(n, closed)
-    mbar = None
-    m = len(omega)
-    if m % 2 == 1 and 0 in omega and m <= n - 2:
-        cand = (m - 1) // 2
-        if cand >= 1 and tuple(_band(n, cand)) == omega.indices:
-            mbar = cand
-    return PartialDFTSpec(n, omega, mbar, raw)
+    return PartialDFTSpec(n, omega, _band_mbar(n, omega), raw)
+
+
+def band_spec(n: int, mbar: int) -> PartialDFTSpec:
+    """The row set {0..mbar, n-mbar..n-1}, the lowest 2*mbar+1 frequencies."""
+    if not 0 <= mbar < n:
+        raise InputError("mbar must lie in [0, n)")
+    return symmetrize_omega(n, [k % n for k in range(-mbar, mbar + 1)])
 
 
 def _sin_log_table(n: int) -> np.ndarray:
-    """log |xi^a - xi^b| depends only on (a-b) mod n; tabulate it."""
-    d = np.arange(1, n)
-    table = np.empty(n)
-    table[0] = -np.inf  # unused: distinct indices only
-    table[1:] = np.log(2.0 * np.abs(np.sin(np.pi * d / n)))
+    """log |xi^a - xi^b| depends only on d = (a-b) mod n; tabulate it, with
+    0 at d = 0 so that sums over a support may include the diagonal."""
+    table = np.zeros(n)
+    table[1:] = np.log(2.0 * np.abs(np.sin(np.pi * np.arange(1, n) / n)))
     return table
 
 
-def _log_weights(spec: PartialDFTSpec, gamma: tuple[int, ...], method: str,
-                 table: np.ndarray | None = None) -> np.ndarray:
-    """Per-k log weights on gamma, for the chosen method, up to a common
-    additive constant (which cancels in every comparison)."""
-    n = spec.n
-    g = np.array(gamma)
-    if method == "determinant":
-        sub = spec.partial_matrix()[:, list(gamma)]
-        out = np.empty(len(gamma))
-        for t in range(len(gamma)):
-            cols = np.delete(np.arange(len(gamma)), t)
-            det = np.linalg.det(sub[:, cols]) if cols.size else 1.0
-            mag = abs(det)
-            if mag <= 0.0:
-                raise NumericalBoundaryError(
-                    "numerically zero minor; prime-dimension minors are nonzero"
-                )
-            out[t] = math.log(mag)
-        return out
-    if spec.mbar is None:
-        raise InputError(f"method {method!r} requires the contiguous band shape")
-    if table is None:
-        table = _sin_log_table(n)
-    if method == "fprime":
-        # w_k = 1/|f'_Gamma(xi^k)|
-        diffs = (g[:, None] - g[None, :]) % n
-        np.fill_diagonal(diffs, 0)
-        mask = ~np.eye(len(gamma), dtype=bool)
-        return -np.where(mask, table[diffs], 0.0).sum(axis=1)
-    if method == "fcomplement":
-        members = set(gamma)
-        comp = np.array([j for j in range(n) if j not in members], dtype=int)
-        if comp.size == 0:
-            return np.zeros(len(gamma))
-        diffs = (g[:, None] - comp[None, :]) % n
-        return table[diffs].sum(axis=1)
-    raise InputError(f"unknown weight method {method!r}")
+def _unit_rows(logs: np.ndarray) -> np.ndarray:
+    """Weights from log weights along the last axis, normalized to unit sum."""
+    w = np.exp(logs - logs.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def gamma_weights(
-    spec: PartialDFTSpec, gamma, method: str = "determinant"
-) -> GammaWeights:
-    """Strictly positive comparison weights for one candidate support.
+def _null_vectors(f: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Unit null vector of the columns of f on each row of gammas, (B, k)."""
+    _, sv, vh = np.linalg.svd(f[:, gammas].transpose(1, 0, 2), full_matrices=True)
+    # prime n makes every minor nonzero, hence nullity exactly one; the DFT
+    # entries have unit modulus, which sets the scale of the tolerance
+    if np.any(sv[:, -1] <= 1e-10):
+        raise NumericalBoundaryError(
+            "restricted nullspace not one-dimensional within tolerance"
+        )
+    return vh[:, -1, :].conj()
 
-    All three methods agree up to a common positive scale; returned weights
-    are normalized to unit maximum.
+
+def _block_rows(spec: PartialDFTSpec) -> int:
+    return max(1, _BLOCK // spec.gamma_size**2)
+
+
+def _weights(spec: PartialDFTSpec, gammas: np.ndarray) -> np.ndarray:
+    """Comparison weights for each row of gammas (B, |omega|+1), each row
+    normalized to unit sum.
+
+    Band row sets: log w_k = -sum over u in gamma, u != k, of
+    log |xi^k - xi^u|, i.e. w_k = 1/|f'_Gamma(xi^k)|. Other row sets: the
+    magnitudes of the restricted null vector from a batched SVD. Both are
+    proportional to the alternating minors.
     """
+    n = spec.n
+    gammas = np.asarray(gammas, dtype=int)
+    rows = _block_rows(spec)
+    out = np.empty(gammas.shape)
+    if spec.mbar is not None:
+        table = _sin_log_table(n)
+        for lo in range(0, len(gammas), rows):
+            g = gammas[lo:lo + rows]
+            logs = -table[(g[:, :, None] - g[:, None, :]) % n].sum(axis=2)
+            out[lo:lo + rows] = _unit_rows(logs)
+    else:
+        f = spec.partial_matrix()
+        for lo in range(0, len(gammas), rows):
+            w = np.abs(_null_vectors(f, gammas[lo:lo + rows]))
+            out[lo:lo + rows] = w / w.sum(axis=1, keepdims=True)
+    return out
+
+
+def _s_max_rows(weights: np.ndarray) -> np.ndarray:
+    """Per row of unit-sum weights, the largest t whose t heaviest weights
+    sum to strictly less than one half."""
+    prefix = np.cumsum(np.sort(weights, axis=1)[:, ::-1], axis=1)
+    return (prefix < 0.5).sum(axis=1)
+
+
+def _checked_gamma(spec: PartialDFTSpec, gamma) -> SupportSet:
     gamma = SupportSet.of(spec.n, gamma)
     if len(gamma) != spec.gamma_size:
         raise InputError("gamma must have |omega|+1 indices")
-    logs = _log_weights(spec, gamma.indices, method)
-    w = np.exp(logs - logs.max())
-    return GammaWeights(gamma, tuple(float(x) for x in w))
+    return gamma
 
 
-def f_gamma_poly_eval(spec: PartialDFTSpec, gamma, z: complex) -> complex:
-    """Evaluate prod_{k in gamma} (z - xi^k) directly."""
-    roots = dft_root_powers(spec.n)
-    out = 1.0 + 0.0j
-    for k in SupportSet.of(spec.n, gamma).indices:
-        out *= z - roots[k]
-    return complex(out)
-
-
-def f_gamma_eval(spec: PartialDFTSpec, gamma, k: int) -> complex:
-    """Evaluate the gamma root polynomial at the k-th root of unity."""
-    if not 0 <= k < spec.n:
-        raise InputError("evaluation index out of range")
-    return f_gamma_poly_eval(spec, gamma, complex(dft_root_powers(spec.n)[k]))
+def gamma_weights(spec: PartialDFTSpec, gamma) -> GammaWeights:
+    """Strictly positive comparison weights for one candidate support,
+    normalized to unit maximum."""
+    gamma = _checked_gamma(spec, gamma)
+    w = _weights(spec, np.array([gamma.indices]))[0]
+    return GammaWeights(gamma, tuple(float(x) for x in w / w.max()))
 
 
 def nullspace_vector_nu(spec: PartialDFTSpec, gamma) -> np.ndarray:
     """Real spanning vector of the nullspace restricted to gamma, embedded
-    into R^n on gamma and l1-normalized.
+    into R^n on gamma and l1-normalized, with a positive first entry.
 
-    Built from alternating-sign minor determinants, then realified: divided
-    by i when purely imaginary, otherwise added to its conjugate.
+    The restricted nullspace is closed under conjugation and one-dimensional,
+    so the complex null vector is real up to a phase: rotating it by the
+    phase of its largest entry makes it real.
     """
-    gamma = SupportSet.of(spec.n, gamma)
-    if len(gamma) != spec.gamma_size:
-        raise InputError("gamma must have |omega|+1 indices")
-    sub = spec.partial_matrix()[:, list(gamma.indices)]
-    k = len(gamma)
-    nu = np.empty(k, dtype=complex)
-    for t in range(k):
-        cols = np.delete(np.arange(k), t)
-        det = np.linalg.det(sub[:, cols]) if cols.size else 1.0
-        nu[t] = ((-1) ** t) * det
-    scale = np.max(np.abs(nu))
-    if scale == 0.0:
-        raise NumericalBoundaryError("all minors numerically zero")
-    real_part = nu + np.conj(nu)
-    imag_route = nu / 1j
-    cand = real_part if np.max(np.abs(real_part)) > 1e-9 * scale else imag_route
-    if np.max(np.abs(cand.imag)) > 1e-6 * np.max(np.abs(cand)):
+    gamma = _checked_gamma(spec, gamma)
+    nu = _null_vectors(spec.partial_matrix(), np.array([gamma.indices]))[0]
+    top = nu[np.argmax(np.abs(nu))]
+    nu = nu * (abs(top) / top)
+    if np.max(np.abs(nu.imag)) > 1e-6 * abs(top):
         raise NumericalBoundaryError("degenerate realification")
-    v = cand.real
+    v = nu.real * np.sign(nu.real[0])
     out = np.zeros(spec.n)
     out[list(gamma.indices)] = v / np.sum(np.abs(v))
     return out
@@ -250,14 +248,13 @@ def _nu_extreme_point(spec: PartialDFTSpec, gamma: SupportSet) -> ExtremePoint:
     return ExtremePoint(tuple(float(x) for x in v), gamma, signs, exact=False)
 
 
-def _iter_gammas_exact(spec: PartialDFTSpec, budget: int):
+def _check_budget(spec: PartialDFTSpec, budget: int) -> None:
     total = math.comb(spec.n, spec.gamma_size)
     if total > budget:
         raise BudgetExceededError(
             f"{total} candidate supports exceed the budget {budget}; "
             "use sampled mode"
         )
-    return combinations(range(spec.n), spec.gamma_size)
 
 
 def _sample_gammas(spec: PartialDFTSpec, sample_size: int, seed: int):
@@ -282,55 +279,20 @@ def _sample_gammas(spec: PartialDFTSpec, sample_size: int, seed: int):
     return out
 
 
-def _default_method(spec: PartialDFTSpec) -> str:
-    return "fcomplement" if spec.mbar is not None else "determinant"
-
-
 @functools.lru_cache(maxsize=4)
-def _weight_table(spec: PartialDFTSpec, method: str):
+def _weight_table(spec: PartialDFTSpec):
     """All candidate supports with their weights normalized to unit row sum.
 
     Cached so repeated membership checks against the same spec pay the
     enumeration cost once. Returns (gammas, weights) as 2-d arrays.
     """
-    n, k = spec.n, spec.gamma_size
-    gammas = np.array(list(combinations(range(n), k)), dtype=int)
-    if method == "determinant":
-        f = spec.partial_matrix()
-        # batched SVD: null vector magnitudes are proportional to the minors
-        stacked = f[:, gammas].transpose(1, 0, 2)
-        _, sv, vh = np.linalg.svd(stacked, full_matrices=True)
-        w = np.abs(vh[:, -1, :])
-        # prime n guarantees every minor is nonzero, hence nullity exactly 1
-        if sv.size and np.any(sv[:, -1] <= 1e-10 * max(np.max(np.abs(f)), 1.0)):
-            raise NumericalBoundaryError(
-                "restricted nullspace not one-dimensional within tolerance"
-            )
-    else:
-        if spec.mbar is None:
-            raise InputError(f"method {method!r} requires the contiguous band shape")
-        table = _sin_log_table(n)
-        if method == "fprime":
-            diffs = (gammas[:, :, None] - gammas[:, None, :]) % n
-            mask = ~np.eye(k, dtype=bool)
-            logs = -np.where(mask, table[diffs], 0.0).sum(axis=2)
-        elif method == "fcomplement":
-            full = np.arange(n)
-            logs = np.empty_like(gammas, dtype=float)
-            for i, g in enumerate(gammas):
-                comp = np.setdiff1d(full, g, assume_unique=True)
-                logs[i] = table[(g[:, None] - comp[None, :]) % n].sum(axis=1)
-        else:
-            raise InputError(f"unknown weight method {method!r}")
-        w = np.exp(logs - logs.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
-    return gammas, w
+    gammas = np.array(list(combinations(range(spec.n), spec.gamma_size)), dtype=int)
+    return gammas, _weights(spec, gammas)
 
 
 def masc_contains_dft(
     spec: PartialDFTSpec,
     s,
-    method: str | None = None,
     budget: int = DEFAULT_GAMMA_BUDGET,
     sampled: bool = False,
     sample_size: int = 1000,
@@ -347,39 +309,26 @@ def masc_contains_dft(
     fabricating a certificate.
     """
     s = SupportSet.of(spec.n, s)
-    if method is None:
-        method = _default_method(spec)
     if spec.gamma_size > spec.n:
         # full row set: trivial nullspace, every support recoverable
         return MembershipVerdict(True, True, 0.5, None)
     if sampled:
-        table = _sin_log_table(spec.n) if method != "determinant" else None
-        worst_mass = -1.0
-        worst_gamma = None
-        for gamma in _sample_gammas(spec, sample_size, seed):
-            logs = _log_weights(spec, gamma, method, table)
-            w = np.exp(logs - logs.max())
-            mass = float(
-                sum(w[t] for t, k in enumerate(gamma) if k in s) / w.sum()
-            )
-            if mass > worst_mass:
-                worst_mass = mass
-                worst_gamma = gamma
+        gammas = np.array(_sample_gammas(spec, sample_size, seed))
+        weights = _weights(spec, gammas)
     else:
-        _iter_gammas_exact(spec, budget)  # budget guard
-        gammas, weights = _weight_table(spec, method)
-        mask = np.zeros(spec.n)
-        mask[list(s.indices)] = 1.0
-        masses = (weights * mask[gammas]).sum(axis=1)
-        worst_idx = int(np.argmax(masses))
-        worst_mass = float(masses[worst_idx])
-        worst_gamma = tuple(int(i) for i in gammas[worst_idx])
+        _check_budget(spec, budget)
+        gammas, weights = _weight_table(spec)
+    mask = np.zeros(spec.n)
+    mask[list(s.indices)] = 1.0
+    masses = (weights * mask[gammas]).sum(axis=1)
+    worst = int(np.argmax(masses))
+    worst_mass = float(masses[worst])
     boundary = abs(worst_mass - 0.5) <= TIE_BAND_REL
     margin = 0.5 - worst_mass
     in_masc = worst_mass < 0.5
     witness = None
     if not in_masc or boundary:
-        witness = _nu_extreme_point(spec, SupportSet.of(spec.n, worst_gamma))
+        witness = _nu_extreme_point(spec, SupportSet.of(spec.n, gammas[worst]))
     if boundary:
         return MembershipVerdict(False, False, margin, witness)
     if sampled and in_masc:
@@ -400,59 +349,23 @@ def coherence_lower_bound(spec: PartialDFTSpec):
     return bound, s_guaranteed
 
 
-def s_max_gamma(
-    spec: PartialDFTSpec,
-    gamma,
-    method: str | None = None,
-    _table: np.ndarray | None = None,
-) -> int:
+def s_max_gamma(spec: PartialDFTSpec, gamma) -> int:
     """Largest t whose t heaviest weights still sum to strictly less than
     half of the total weight on gamma."""
-    gamma = SupportSet.of(spec.n, gamma)
-    if method is None:
-        method = _default_method(spec)
-    return _s_max_of(spec, gamma.indices, method, _table)
+    gamma = _checked_gamma(spec, gamma)
+    return int(_s_max_rows(_weights(spec, np.array([gamma.indices])))[0])
 
 
-def _s_max_from_weights(w: np.ndarray) -> int:
-    order = np.sort(w)[::-1]
-    half = w.sum() / 2.0
-    acc = 0.0
-    t = 0
-    for x in order:
-        if acc + x < half:
-            acc += x
-            t += 1
-        else:
-            break
-    return t
-
-
-def s_max_exact(
-    spec: PartialDFTSpec,
-    method: str | None = None,
-    budget: int = DEFAULT_GAMMA_BUDGET,
-) -> int:
+def s_max_exact(spec: PartialDFTSpec, budget: int = DEFAULT_GAMMA_BUDGET) -> int:
     """Minimum of the per-gamma sparsity over every candidate support."""
-    if method is None:
-        method = _default_method(spec)
     if spec.gamma_size > spec.n:
         return spec.n
-    _iter_gammas_exact(spec, budget)  # budget guard
-    _gammas, weights = _weight_table(spec, method)
-    ordered = np.sort(weights, axis=1)[:, ::-1]
-    prefix = np.cumsum(ordered, axis=1)
-    # rows are normalized to unit sum; count strict prefix sums below half
-    per_gamma = (prefix < 0.5).sum(axis=1)
-    return int(per_gamma.min())
+    _check_budget(spec, budget)
+    _gammas, weights = _weight_table(spec)
+    return int(_s_max_rows(weights).min())
 
 
-def s_max_sampled(
-    spec: PartialDFTSpec,
-    sample_size: int,
-    seed: int,
-    method: str | None = None,
-) -> int:
+def s_max_sampled(spec: PartialDFTSpec, sample_size: int, seed: int) -> int:
     """Upper bound on the exact value from a seeded search of supports.
 
     Takes the minimum of the per-gamma sparsity over a uniform sample of
@@ -469,29 +382,19 @@ def s_max_sampled(
     and extends the same trajectory, so the result never grows. Row sets
     that are not bands use the uniform sample only.
     """
-    if method is None:
-        method = _default_method(spec)
     if spec.gamma_size > spec.n:
         return spec.n
-    table = _sin_log_table(spec.n) if spec.mbar is not None else None
     gammas = _sample_gammas(spec, sample_size, seed)
     best = spec.n
-    for gamma in gammas:
-        best = min(best, _s_max_of(spec, gamma, method, table))
+    # reduce block by block: the weights of the whole sample are never held
+    rows = _block_rows(spec)
+    for lo in range(0, len(gammas), rows):
+        block = _weights(spec, np.array(gammas[lo:lo + rows]))
+        best = min(best, int(_s_max_rows(block).min()))
     if spec.mbar is not None and len(gammas) < math.comb(spec.n, spec.gamma_size):
         evaluations = len(gammas) * (spec.n - spec.gamma_size)
-        best = min(best, _swap_search(spec, gammas[0], evaluations, method, table))
+        best = min(best, _swap_search(spec, gammas[0], evaluations))
     return best
-
-
-def _s_max_of(spec: PartialDFTSpec, gamma: tuple[int, ...], method: str,
-              table: np.ndarray | None) -> int:
-    logs = _log_weights(spec, gamma, method, table)
-    return _s_max_from_weights(np.exp(logs - logs.max()))
-
-
-# entries per batched block of swap evaluations (bounds peak memory)
-_SWAP_BLOCK = 1 << 18
 
 
 def _top_mass(logs: np.ndarray, s: int) -> np.ndarray:
@@ -504,8 +407,7 @@ def _top_mass(logs: np.ndarray, s: int) -> np.ndarray:
     return top.sum(axis=-1) / w.sum(axis=-1)
 
 
-def _swap_search(spec: PartialDFTSpec, start: tuple[int, ...], evaluations: int,
-                 method: str, table: np.ndarray) -> int:
+def _swap_search(spec: PartialDFTSpec, start: tuple[int, ...], evaluations: int) -> int:
     """Deterministic one-swap descent on the per-gamma sparsity, band only.
 
     Each step scores every swap (one index of gamma out, one index outside
@@ -518,17 +420,23 @@ def _swap_search(spec: PartialDFTSpec, start: tuple[int, ...], evaluations: int,
     per-gamma sparsity over the supports visited, start included.
     """
     n, k = spec.n, spec.gamma_size
-    idx = np.arange(n)
-    pair = table[(idx[:, None] - idx[None, :]) % n]
-    np.fill_diagonal(pair, 0.0)
+    # pair[a, b] = log |xi^a - xi^b|, a read-only view of one 2n-1 strip
+    # (row a reads strip[a:a+n] backwards), so no n x n array is built
+    strip = _sin_log_table(n)[(np.arange(2 * n - 1) - (n - 1)) % n]
+    pair = np.lib.stride_tricks.sliding_window_view(strip, n)[:, ::-1]
     in_gamma = np.zeros(n, dtype=bool)
     in_gamma[list(start)] = True
-    # logs[j]: log weight of j as a member of gamma, the log-sin sum over
-    # the complement (the fcomplement method); one swap updates it in O(n)
+    # logs[j]: log weight of j as a member of gamma, the log-sin sum over the
+    # complement (|f'_Gamma(xi^j)| |f_complement(xi^j)| = n makes it the band
+    # weight up to a constant); one swap updates it in O(n)
     logs = pair[:, ~in_gamma].sum(axis=1)
-    s = best = _s_max_of(spec, tuple(start), method, table)
+
+    def level() -> int:
+        return int(_s_max_rows(_unit_rows(logs[in_gamma][None]))[0])
+
+    s = best = level()
     cost = k * (n - k)
-    rows = max(1, _SWAP_BLOCK // cost)
+    rows = max(1, _BLOCK // cost)
     for _ in range(evaluations // cost):
         g, c = np.flatnonzero(in_gamma), np.flatnonzero(~in_gamma)
         pair_gg, pair_gc = pair[np.ix_(g, g)], pair[np.ix_(g, c)]
@@ -548,7 +456,6 @@ def _swap_search(spec: PartialDFTSpec, start: tuple[int, ...], evaluations: int,
         a, b = swap
         in_gamma[a], in_gamma[b] = False, True
         logs += pair[:, a] - pair[:, b]
-        s = _s_max_of(spec, tuple(int(x) for x in np.flatnonzero(in_gamma)),
-                      method, table)
+        s = level()
         best = min(best, s)
     return best

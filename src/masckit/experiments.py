@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dft import coherence_lower_bound, s_max_sampled, symmetrize_omega
+from .dft import band_spec, coherence_lower_bound, s_max_sampled
 from .errors import BudgetExceededError, InputError
 from .graphs import DirectedSimpleGraph, erdos_renyi, incidence_matrix
 from .linalg import parse_matrix_text
@@ -218,8 +218,7 @@ def _dft_masc_fraction(spec, s: int) -> float:
 
     from .dft import _weight_table
 
-    method = "fcomplement" if spec.mbar is not None else "determinant"
-    gammas, weights = _weight_table(spec, method)
+    gammas, weights = _weight_table(spec)
     hits = 0
     total = 0
     for sup in combinations(range(spec.n), s):
@@ -233,7 +232,7 @@ def _dft_masc_fraction(spec, s: int) -> float:
 
 def _run_fig5(p):
     n, mbar = p["n"], p["mbar"]
-    spec = symmetrize_omega(n, list(range(mbar + 1)) + list(range(n - mbar, n)))
+    spec = band_spec(n, mbar)
     a = realify(spec.partial_matrix())
     rows = []
     for s in p["sparsities"]:
@@ -265,7 +264,7 @@ def _run_fig6(p):
     rows = []
     for size in p["omega_sizes"]:
         mbar = (size - 1) // 2
-        spec = symmetrize_omega(n, list(range(mbar + 1)) + list(range(n - mbar, n)))
+        spec = band_spec(n, mbar)
         seed = p["seed"] * 10007 + size
         s_hat = s_max_sampled(spec, p["sample_size"], seed)
         bound, s_guar = coherence_lower_bound(spec)
@@ -292,7 +291,7 @@ def _run_fig7(p):
     n = p["n"]
     rows = []
     for mbar in p["mbar_values"]:
-        spec = symmetrize_omega(n, list(range(mbar + 1)) + list(range(n - mbar, n)))
+        spec = band_spec(n, mbar)
         seed = p["seed"] * 10007 + mbar
         s_hat = s_max_sampled(spec, p["sample_size"], seed)
         bound, s_guar = coherence_lower_bound(spec)

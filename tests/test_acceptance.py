@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from masckit.dft import (
-    _default_method,
     _weight_table,
+    band_spec,
     coherence_lower_bound,
     masc_contains_dft,
     s_max_exact,
@@ -58,10 +58,6 @@ def report(num: int, ok: bool, detail: str = ""):
     suffix = f"  ({detail})" if detail else ""
     print(f"criterion {num:2d}: {tag}{suffix}")
     assert ok, f"criterion {num} failed{suffix}"
-
-
-def band_spec(n, mbar):
-    return symmetrize_omega(n, list(range(mbar + 1)) + list(range(n - mbar, n)))
 
 
 def test_criterion_01_single_row_masc_empty():
@@ -204,7 +200,7 @@ def test_criterion_07_cross_oracle_dft():
                 continue
             p_abs = np.abs(np.array([p.as_float() for p in pts]))
             mass_core = (p_abs @ masks.T).max(axis=0)
-            gammas, weights = _weight_table(spec, _default_method(spec))
+            gammas, weights = _weight_table(spec)
             mass_dft = np.array(
                 [(weights * m[gammas]).sum(axis=1).max() for m in masks]
             )

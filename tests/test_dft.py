@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from masckit.errors import BudgetExceededError, InputError
 from masckit.dft import (
     GammaWeights,
+    PartialDFTSpec,
+    _s_max_rows,
+    _weights,
+    band_spec,
     coherence_lower_bound,
-    f_gamma_eval,
-    f_gamma_poly_eval,
     gamma_weights,
     masc_contains_dft,
     nullspace_vector_nu,
@@ -22,10 +24,32 @@ from masckit.dft import (
     s_max_sampled,
     symmetrize_omega,
 )
+from masckit.linalg import dft_root_powers
 
 
-def band_spec(n, mbar):
-    return symmetrize_omega(n, list(range(mbar + 1)) + list(range(n - mbar, n)))
+# reference code: direct evaluations and minors the kernel is checked against
+
+
+def f_gamma_poly_eval(spec, gamma, z):
+    """Evaluate prod_{k in gamma} (z - xi^k) directly."""
+    roots = dft_root_powers(spec.n)
+    out = 1.0 + 0.0j
+    for k in sorted(set(gamma)):
+        out *= z - roots[k]
+    return complex(out)
+
+
+def f_gamma_eval(spec, gamma, k):
+    """Evaluate the gamma root polynomial at the k-th root of unity."""
+    return f_gamma_poly_eval(spec, gamma, complex(dft_root_powers(spec.n)[k]))
+
+
+def minor_weights(spec, gamma):
+    """|alternating minors| of the measured rows on gamma, unit sum."""
+    sub = spec.partial_matrix()[:, list(gamma)]
+    k = len(gamma)
+    w = np.array([abs(np.linalg.det(np.delete(sub, t, axis=1))) for t in range(k)])
+    return w / w.sum()
 
 
 class TestSymmetrizeOmega:
@@ -42,6 +66,9 @@ class TestSymmetrizeOmega:
     def test_band_detection(self):
         spec = symmetrize_omega(19, list(range(8)) + list(range(12, 19)))
         assert spec.mbar == 7 and spec.m == 15
+        assert band_spec(19, 7) == spec
+        with pytest.raises(InputError):
+            PartialDFTSpec(19, spec.omega, 6)
 
     def test_band_needs_room(self):
         # mbar shape with |omega| > n-2 is not eligible for the band tests
@@ -79,6 +106,19 @@ class TestNullspaceVectorNu:
         off = [i for i in range(n) if i not in gamma]
         assert np.all(nu[off] == 0.0)
 
+    def test_band_witnesses_n61(self):
+        # two supports from sampled rejections at n = 61 on which realifying
+        # the minors as nu + conj(nu) cancelled to rounding noise
+        spec = band_spec(61, 15)
+        for gamma in (
+            [0, 1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 14, 15, 20, 21, 22, 23, 26, 29,
+             34, 41, 43, 44, 49, 50, 53, 54, 56, 57, 58, 59, 60],
+            [0, 10, 16, 17, 19, 21, 22, 27, 28, 29, 30, 31, 32, 34, 35, 36, 37,
+             38, 39, 40, 42, 43, 44, 46, 48, 49, 53, 55, 56, 57, 58, 59],
+        ):
+            nu = nullspace_vector_nu(spec, gamma)
+            assert np.max(np.abs(spec.partial_matrix() @ nu)) < 1e-9
+
 
 class TestFGamma:
     def test_root_gives_zero(self):
@@ -111,23 +151,19 @@ class TestGammaWeights:
         assert isinstance(gw, GammaWeights)
         assert all(w > 0 for w in gw.weights)
 
-    def test_methods_proportional(self):
-        spec = band_spec(19, 7)
+    def test_kernel_matches_minors(self):
+        # band formula and SVD branch both against the minors
         rng = random.Random(1)
-        for _ in range(10):
-            gamma = tuple(sorted(rng.sample(range(19), spec.gamma_size)))
-            ws = [
-                np.array(gamma_weights(spec, gamma, m).weights)
-                for m in ("determinant", "fprime", "fcomplement")
+        for spec in (band_spec(19, 7), symmetrize_omega(11, [0, 2, 4, 7, 9])):
+            gammas = [
+                tuple(sorted(rng.sample(range(spec.n), spec.gamma_size)))
+                for _ in range(10)
             ]
-            for w in ws[1:]:
-                a, b = ws[0] / ws[0].sum(), w / w.sum()
-                assert np.max(np.abs(a - b)) < 1e-8
-
-    def test_band_required_for_polynomial_methods(self):
-        spec = symmetrize_omega(11, [0, 2, 4, 7, 9])
-        with pytest.raises(InputError):
-            gamma_weights(spec, range(6), "fprime")
+            kernel = _weights(spec, np.array(gammas))
+            for gamma, w in zip(gammas, kernel):
+                assert np.max(np.abs(w - minor_weights(spec, gamma))) < 1e-8
+                gw = np.array(gamma_weights(spec, gamma).weights)
+                assert np.max(np.abs(w - gw / gw.sum())) < 1e-12
 
 
 class TestMascContainsDft:
@@ -167,16 +203,17 @@ class TestMascContainsDft:
         with pytest.raises(BudgetExceededError):
             masc_contains_dft(spec, [0], budget=10)
 
-    def test_method_verdicts_agree(self):
+    def test_verdicts_match_minors(self):
         spec = band_spec(19, 7)
+        gammas = list(itertools.combinations(range(19), spec.gamma_size))
+        weights = np.array([minor_weights(spec, g) for g in gammas])
         rng = random.Random(7)
         for _ in range(20):
             sup = rng.sample(range(19), rng.randint(1, 5))
-            verdicts = {
-                m: masc_contains_dft(spec, sup, method=m).in_masc
-                for m in ("determinant", "fprime", "fcomplement")
-            }
-            assert len(set(verdicts.values())) == 1
+            mask = np.zeros(19)
+            mask[sup] = 1.0
+            worst = (weights * mask[np.array(gammas)]).sum(axis=1).max()
+            assert masc_contains_dft(spec, sup).in_masc == (worst < 0.5)
 
     def test_full_omega_trivial(self):
         spec = symmetrize_omega(7, range(7))
@@ -207,10 +244,8 @@ class TestCoherenceBound:
 class TestSMax:
     def test_uniform_weight_rule(self):
         # t-1 for 2t uniform weights under the strict-half rule
-        from masckit.dft import _s_max_from_weights
-
-        assert _s_max_from_weights(np.ones(8)) == 3
-        assert _s_max_from_weights(np.ones(7)) == 3
+        assert _s_max_rows(np.full((1, 8), 1 / 8))[0] == 3
+        assert _s_max_rows(np.full((1, 7), 1 / 7))[0] == 3
 
     def test_n19_exact(self):
         assert s_max_exact(band_spec(19, 7)) == 3
@@ -229,8 +264,8 @@ class TestSMax:
         spec = band_spec(61, 15)
         gamma = sorted({1} | set(range(0, 61, 2)))
         assert len(gamma) == spec.gamma_size
-        for method in ("determinant", "fprime", "fcomplement"):
-            assert s_max_gamma(spec, gamma, method) == 1
+        assert s_max_gamma(spec, gamma) == 1
+        assert _s_max_rows(minor_weights(spec, gamma)[None])[0] == 1
         nu = nullspace_vector_nu(spec, gamma)
         assert np.abs(nu[[0, 1]]).sum() > 0.5
         # 1000 uniform draws alone report 2 at this seed; the swap search
