@@ -43,7 +43,6 @@ from .linalg import (
     ComplexMatrix,
     NullspaceBasis,
     RealMatrix,
-    complex_minor_det,
     dft_matrix,
     float_nullspace_basis,
     nullspace_basis,
@@ -54,7 +53,6 @@ from .masc import (
     SimplicialComplexSummary,
     SupportSet,
     enumerate_extreme_points,
-    gnup_holds,
     masc_contains,
     masc_enumerate,
     nullspace_constant,

@@ -30,7 +30,7 @@ from .graphs import (
     masc_contains_graph,
     parse_graph_text,
 )
-from .linalg import parse_matrix_text
+from .linalg import parse_real_matrix_text
 from .masc import MembershipVerdict, SupportSet
 from .recovery import RecoveryProblem, TrialConfig, basis_pursuit, recovery_rate
 
@@ -53,7 +53,7 @@ def _read(path: str) -> str:
 
 
 def _load_float_matrix(path: str) -> np.ndarray:
-    return parse_matrix_text(_read(path)).to_float_array()
+    return parse_real_matrix_text(_read(path)).to_float_array()
 
 
 def _verdict_payload(v: MembershipVerdict, worst_gamma=None) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 from .dft import band_spec, coherence_lower_bound, s_max_sampled
 from .errors import BudgetExceededError, InputError
 from .graphs import DirectedSimpleGraph, erdos_renyi, incidence_matrix
-from .linalg import parse_matrix_text
+from .linalg import parse_real_matrix_text
 from .recovery import TrialConfig, mrsl_naive, realify, recovery_rate
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_plot"]
@@ -319,8 +319,7 @@ def _run_custom(p):
     if not p.get("matrix_file"):
         raise InputError("custom experiment requires a matrix_file parameter")
     with open(p["matrix_file"]) as fh:
-        m = parse_matrix_text(fh.read())
-    a = m.to_float_array()
+        a = parse_real_matrix_text(fh.read()).to_float_array()
     rows = []
     for s in p["sparsities"]:
         seed = p["seed"] * 10007 + s

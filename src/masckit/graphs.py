@@ -16,7 +16,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import BudgetExceededError, InputError
-from .linalg import RealMatrix, nullspace_basis
+from .linalg import RealMatrix
 from .masc import ExtremePoint, MembershipVerdict, SupportSet
 
 __all__ = [
@@ -85,22 +85,22 @@ class SimpleCycle:
         return tuple(i for i, s in enumerate(self.signed_char_vector) if s != 0)
 
 
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
 def incidence_matrix(g: DirectedSimpleGraph) -> RealMatrix:
     """Vertex-by-edge matrix: -1 at each edge's tail, +1 at its head."""
-    rows = [[Fraction(0)] * g.edge_count for _ in range(g.vertex_count)]
+    m = g.edge_count
+    entries = [_ZERO] * (g.vertex_count * m)
     for j, (tail, head) in enumerate(g.edges):
-        rows[tail][j] = Fraction(-1)
-        rows[head][j] = Fraction(1)
-    return RealMatrix.from_rows(rows, exact=True)
+        entries[tail * m + j] = _MINUS_ONE
+        entries[head * m + j] = _ONE
+    return RealMatrix(g.vertex_count, m, tuple(entries))
 
 
-def _cycle_from_nodes(g: DirectedSimpleGraph, nodes: list[int]) -> SimpleCycle:
-    edge_index = {}
-    for idx, (tail, head) in enumerate(g.edges):
-        edge_index[(tail, head)] = (idx, 1)
-        edge_index[(head, tail)] = (idx, -1)
+def _cycle_from_nodes(edge_index: dict, m: int, nodes: list[int]) -> SimpleCycle:
     closed = list(nodes) + [nodes[0]]
-    char = [0] * g.edge_count
+    char = [0] * m
     for u, v in zip(closed, closed[1:]):
         idx, sign = edge_index[(u, v)]
         char[idx] = sign
@@ -112,6 +112,26 @@ def _cycle_from_nodes(g: DirectedSimpleGraph, nodes: list[int]) -> SimpleCycle:
     return SimpleCycle(tuple(closed), tuple(char))
 
 
+def iter_simple_cycles(g: DirectedSimpleGraph):
+    """Streaming cycle generator (no cap, no deterministic global order)."""
+    edge_index = {}
+    for idx, (tail, head) in enumerate(g.edges):
+        edge_index[(tail, head)] = (idx, 1)
+        edge_index[(head, tail)] = (idx, -1)
+    for nodes in nx.simple_cycles(g.undirected()):
+        yield _cycle_from_nodes(edge_index, g.edge_count, nodes)
+
+
+def _capped(cycles, cap: int):
+    """Pass cycles through, raising once more than cap have been seen."""
+    for count, cyc in enumerate(cycles, 1):
+        if count > cap:
+            raise BudgetExceededError(
+                f"more than {cap} simple cycles; use the lazy membership mode"
+            )
+        yield cyc
+
+
 def enumerate_simple_cycles(
     g: DirectedSimpleGraph, cap: int = DEFAULT_CYCLE_CAP
 ) -> list[SimpleCycle]:
@@ -120,21 +140,16 @@ def enumerate_simple_cycles(
     Deterministic order: by length, then lexicographically by sorted
     edge-index set. Raises when the cycle count exceeds the cap.
     """
-    out = []
-    for nodes in nx.simple_cycles(g.undirected()):
-        out.append(_cycle_from_nodes(g, nodes))
-        if len(out) > cap:
-            raise BudgetExceededError(
-                f"more than {cap} simple cycles; use the lazy membership mode"
-            )
+    out = list(_capped(iter_simple_cycles(g), cap))
     out.sort(key=lambda c: (c.length, c.edge_indices))
     return out
 
 
-def iter_simple_cycles(g: DirectedSimpleGraph):
-    """Streaming cycle generator (no cap, no deterministic global order)."""
-    for nodes in nx.simple_cycles(g.undirected()):
-        yield _cycle_from_nodes(g, nodes)
+def _cycle_point(cyc: SimpleCycle) -> ExtremePoint:
+    """The cycle's signed characteristic vector, l1-normalized."""
+    vec = tuple(Fraction(s, cyc.length) for s in cyc.signed_char_vector)
+    support = SupportSet(len(vec), cyc.edge_indices)
+    return ExtremePoint(vec, support, cyc.signed_char_vector, exact=True)
 
 
 def girth(g: DirectedSimpleGraph) -> float:
@@ -172,14 +187,7 @@ def w1(g: DirectedSimpleGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[ExtremePoin
     These are exactly the extreme points of the flow space intersected with
     the l1 ball, up to antipodes.
     """
-    n = g.edge_count
-    pts = []
-    for cyc in enumerate_simple_cycles(g, cap=cap):
-        r = cyc.length
-        vec = tuple(Fraction(s, r) for s in cyc.signed_char_vector)
-        support = SupportSet(n, cyc.edge_indices)
-        pts.append(ExtremePoint(vec, support, cyc.signed_char_vector, exact=True))
-    return pts
+    return [_cycle_point(cyc) for cyc in enumerate_simple_cycles(g, cap=cap)]
 
 
 def masc_contains_graph(
@@ -191,44 +199,31 @@ def masc_contains_graph(
     """Exact integer-arithmetic membership check over edge supports.
 
     A support is in the family iff 2 * |S intersect cycle| < cycle length for
-    every simple cycle. Lazy mode streams cycles and stops at the first
-    violation; exhaustive mode also reports the margin.
+    every simple cycle. Both modes stream the cycles. Lazy mode stops at the
+    first violation; exhaustive mode reports the smallest margin, its witness
+    the shortest, then lexicographically first, cycle attaining it, and
+    raises past cap cycles.
     """
     if s.ambient_dim != g.edge_count:
         raise InputError("support must index the graph's edges")
     sset = set(s.indices)
-
-    def check(cyc: SimpleCycle):
-        overlap = sum(1 for i in cyc.edge_indices if i in sset)
-        return Fraction(1, 2) - Fraction(overlap, cyc.length), cyc
-
-    if lazy:
-        for cyc in iter_simple_cycles(g):
-            margin, cyc = check(cyc)
-            if margin <= 0:
-                vec = tuple(Fraction(x, cyc.length) for x in cyc.signed_char_vector)
-                wit = ExtremePoint(
-                    vec, SupportSet(g.edge_count, cyc.edge_indices),
-                    cyc.signed_char_vector, exact=True,
-                )
-                return MembershipVerdict(True, False, margin, wit)
-        return MembershipVerdict(True, True, Fraction(1, 2), None)
-
-    worst = Fraction(1, 2)
+    half = Fraction(1, 2)
+    cycles = iter_simple_cycles(g) if lazy else _capped(iter_simple_cycles(g), cap)
+    worst = None  # (margin, length, edge indices) of the worst cycle so far
     witness = None
-    for cyc in enumerate_simple_cycles(g, cap=cap):
-        margin, cyc = check(cyc)
-        if margin < worst:
-            worst = margin
-            witness = cyc
-    if worst > 0:
-        return MembershipVerdict(True, True, worst, None)
-    vec = tuple(Fraction(x, witness.length) for x in witness.signed_char_vector)
-    wit = ExtremePoint(
-        vec, SupportSet(g.edge_count, witness.edge_indices),
-        witness.signed_char_vector, exact=True,
-    )
-    return MembershipVerdict(True, False, worst, wit)
+    for cyc in cycles:
+        edges = cyc.edge_indices
+        margin = half - Fraction(sum(1 for i in edges if i in sset), cyc.length)
+        key = (margin, cyc.length, edges)
+        if worst is None or key < worst:
+            worst, witness = key, cyc
+            if lazy and margin <= 0:
+                break
+    if worst is None or worst[0] > 0:
+        # lazy mode stops short of the smallest margin and reports 1/2
+        margin = half if lazy or worst is None else worst[0]
+        return MembershipVerdict(True, True, margin, None)
+    return MembershipVerdict(True, False, worst[0], _cycle_point(witness))
 
 
 def nsc_graph(s: int, g: DirectedSimpleGraph) -> Fraction:
@@ -271,11 +266,14 @@ def parse_graph_text(text: str) -> DirectedSimpleGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError("empty graph file")
-    m, n = map(int, lines[0].split())
-    edges = []
-    for ln in lines[1:]:
-        tail, head = map(int, ln.split())
-        edges.append((tail, head))
+    try:
+        m, n = map(int, lines[0].split())
+        edges = []
+        for ln in lines[1:]:
+            tail, head = map(int, ln.split())
+            edges.append((tail, head))
+    except ValueError as exc:
+        raise InputError(f"malformed graph text: {exc}") from exc
     if len(edges) != n:
         raise InputError("edge count does not match header")
     return DirectedSimpleGraph(m, tuple(edges))
@@ -285,8 +283,3 @@ def format_graph_text(g: DirectedSimpleGraph) -> str:
     lines = [f"{g.vertex_count} {g.edge_count}"]
     lines += [f"{t} {h}" for t, h in g.edges]
     return "\n".join(lines) + "\n"
-
-
-def flow_space_basis(g: DirectedSimpleGraph):
-    """Exact nullspace basis of the incidence matrix (generic-path bridge)."""
-    return nullspace_basis(incidence_matrix(g))

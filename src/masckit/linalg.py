@@ -1,15 +1,15 @@
-"""Linear algebra substrate: exact rational matrices, nullspaces, complex
-determinants and DFT matrix construction.
+"""Linear algebra substrate: exact rational matrices, nullspaces and DFT
+matrix construction.
 
-Rational arithmetic is the default for real matrices so that all downstream
-certificates are exact; float mode exists for solver-facing matrices only.
+Real matrices hold rational entries so that all downstream certificates are
+exact.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,43 +22,40 @@ __all__ = [
     "ComplexMatrix",
     "NullspaceBasis",
     "nullspace_basis",
-    "complex_minor_det",
+    "float_nullspace_basis",
     "dft_matrix",
     "parse_matrix_text",
+    "parse_real_matrix_text",
     "format_matrix_text",
 ]
 
-# Complex determinant magnitudes below this are reported as numerically zero.
-DET_ZERO_TOL = 1e-10
+# Relative singular-value cutoff for float rank decisions: below it a
+# direction counts as null, and a float circuit entry below it (relative to
+# the largest entry) counts as zero.
+RANK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class RealMatrix:
-    """Dense real matrix, either exact (Fraction entries) or float mode."""
+    """Dense real matrix with exact (Fraction) entries."""
 
     rows: int
     cols: int
-    entries: tuple  # row-major, Fractions (exact) or floats
-    exact: bool = True
+    entries: tuple  # row-major Fractions
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise InputError("matrix must have at least one row and column")
         if len(self.entries) != self.rows * self.cols:
             raise InputError("entry count does not match rows x cols")
-        if not self.exact:
-            if not all(math.isfinite(e) for e in self.entries):
-                raise InputError("non-finite entry in float matrix")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], exact: bool = True) -> "RealMatrix":
+    def from_rows(cls, rows: Sequence[Sequence]) -> "RealMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise InputError("ragged rows")
-        conv = Fraction if exact else float
-        entries = tuple(conv(x) for r in rows for x in r)
-        return cls(nrows, ncols, entries, exact=exact)
+        return cls(nrows, ncols, tuple(Fraction(x) for r in rows for x in r))
 
     def __getitem__(self, idx):
         i, j = idx
@@ -68,16 +65,7 @@ class RealMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def to_float_array(self) -> np.ndarray:
-        return np.array(
-            [[float(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
-        )
-
-    def to_exact(self) -> "RealMatrix":
-        if self.exact:
-            return self
-        return RealMatrix(
-            self.rows, self.cols, tuple(Fraction(e) for e in self.entries), exact=True
-        )
+        return np.array(self.entries, dtype=float).reshape(self.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -117,7 +105,6 @@ class NullspaceBasis:
     ambient_dim: int
     basis_vectors: tuple  # tuple of length-n tuples
     exact: bool = True
-    source: RealMatrix | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -159,12 +146,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def nullspace_basis(phi: RealMatrix) -> NullspaceBasis:
-    """Exact rational basis of {x : phi @ x = 0}, derived from the RREF.
-
-    Float-mode input is promoted entrywise to exact rationals (each double is
-    a dyadic rational, so the promotion is lossless).
-    """
-    phi = phi.to_exact()
+    """Exact rational basis of {x : phi @ x = 0}, derived from the RREF."""
     n = phi.cols
     rows = [list(phi.row(i)) for i in range(phi.rows)]
     rref, pivots = _rref(rows)
@@ -176,10 +158,10 @@ def nullspace_basis(phi: RealMatrix) -> NullspaceBasis:
         for r, pc in enumerate(pivots):
             v[pc] = -rref[r][fc]
         basis.append(tuple(v))
-    return NullspaceBasis(n, tuple(basis), exact=True, source=phi)
+    return NullspaceBasis(n, tuple(basis), exact=True)
 
 
-def float_nullspace_basis(a: np.ndarray, rtol: float = 1e-9) -> NullspaceBasis:
+def float_nullspace_basis(a: np.ndarray) -> NullspaceBasis:
     """Orthonormal float nullspace basis via SVD with relative rank tolerance.
 
     Used where the source matrix has irrational entries (realified DFT rows)
@@ -190,37 +172,11 @@ def float_nullspace_basis(a: np.ndarray, rtol: float = 1e-9) -> NullspaceBasis:
         raise InputError("empty matrix")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1.0)))
+    rank = int(np.sum(s > RANK_RTOL * max(smax, 1.0)))
     null = vt[rank:].conj()
     return NullspaceBasis(
         a.shape[1], tuple(tuple(float(x) for x in v) for v in null), exact=False
     )
-
-
-def complex_minor_det(
-    m: ComplexMatrix, row_idx: Sequence[int], col_idx: Sequence[int]
-) -> complex:
-    """Determinant of the square submatrix m[row_idx, col_idx].
-
-    Computed by LU with partial pivoting (LAPACK via numpy). Magnitudes below
-    DET_ZERO_TOL times the scale of the selected entries signal
-    ill-conditioning for prime-dimension DFT minors, which are provably
-    nonzero; callers may test with :func:`minor_is_numerically_zero`.
-    """
-    if len(row_idx) != len(col_idx):
-        raise InputError("row and column selections differ in size")
-    k = len(row_idx)
-    if k == 0:
-        return 1.0 + 0.0j
-    if k > min(m.rows, m.cols):
-        raise InputError("selection larger than matrix")
-    a = m.to_array()[np.ix_(list(row_idx), list(col_idx))]
-    return complex(np.linalg.det(a))
-
-
-def minor_is_numerically_zero(det: complex, entry_scale: float, k: int) -> bool:
-    """Flag a determinant whose magnitude is below the noise floor."""
-    return abs(det) <= DET_ZERO_TOL * max(entry_scale, 1.0) ** k
 
 
 def dft_matrix(n: int) -> ComplexMatrix:
@@ -238,13 +194,6 @@ def dft_matrix(n: int) -> ComplexMatrix:
             ang = -2.0 * math.pi * ((k * l) % n) / n
             entries.append(scale * complex(math.cos(ang), math.sin(ang)))
     return ComplexMatrix(n, n, tuple(entries))
-
-
-def dft_root_powers(n: int) -> np.ndarray:
-    """Array of xi**k for k in 0..n-1, each evaluated directly."""
-    ks = np.arange(n)
-    ang = -2.0 * np.pi * ks / n
-    return np.cos(ang) + 1j * np.sin(ang)
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +214,30 @@ def parse_matrix_text(text: str):
     toks = text.split()
     if len(toks) < 2:
         raise InputError("matrix text too short")
-    rows, cols = int(toks[0]), int(toks[1])
-    vals = [_parse_entry(t) for t in toks[2:]]
+    try:
+        rows, cols = int(toks[0]), int(toks[1])
+        vals = [_parse_entry(t) for t in toks[2:]]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed matrix text: {exc}") from exc
     if len(vals) != rows * cols:
         raise InputError("matrix text has wrong number of entries")
     if any(isinstance(v, complex) for v in vals):
         return ComplexMatrix(rows, cols, tuple(complex(v) for v in vals))
-    return RealMatrix(rows, cols, tuple(vals), exact=True)
+    return RealMatrix(rows, cols, tuple(vals))
+
+
+def parse_real_matrix_text(text: str) -> RealMatrix:
+    """parse_matrix_text for callers that need real entries (the LP paths)."""
+    m = parse_matrix_text(text)
+    if isinstance(m, ComplexMatrix):
+        raise InputError("complex entries are not supported here: give a real matrix")
+    return m
 
 
 def _format_entry(x) -> str:
     if isinstance(x, complex):
         return f"{x.real:+.17g}{x.imag:+.17g}i"
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(float(x))
+    return str(x)
 
 
 def format_matrix_text(m) -> str:

@@ -13,12 +13,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import BudgetExceededError, InputError
-from .linalg import NullspaceBasis, _rref
+from .linalg import (
+    RANK_RTOL,
+    NullspaceBasis,
+    RealMatrix,
+    float_nullspace_basis,
+    nullspace_basis,
+)
 
 __all__ = [
     "SupportSet",
@@ -28,7 +34,6 @@ __all__ = [
     "enumerate_extreme_points",
     "masc_contains",
     "nullspace_constant",
-    "gnup_holds",
     "masc_enumerate",
     "recoverable_fraction",
 ]
@@ -109,15 +114,6 @@ class SimplicialComplexSummary:
         need = set(s.indices)
         return not need or any(need <= set(f.indices) for f in self.maximal_faces)
 
-    def all_faces(self):
-        """Every face of the complex (exponential; small instances only)."""
-        seen = {frozenset()}
-        for f in self.maximal_faces:
-            for k in range(1, len(f) + 1):
-                for sub in combinations(f.indices, k):
-                    seen.add(frozenset(sub))
-        return sorted(tuple(sorted(s)) for s in seen)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -125,13 +121,6 @@ class SimplicialComplexSummary:
                 "maximal_faces": [list(f.indices) for f in self.maximal_faces],
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimplicialComplexSummary":
-        d = json.loads(text)
-        faces = tuple(SupportSet.of(d["n"], f) for f in d["maximal_faces"])
-        empty_only = all(len(f) == 0 for f in faces)
-        return cls(d["n"], faces, empty_only)
 
 
 @dataclass(frozen=True)
@@ -164,47 +153,18 @@ def _scan_budget(n: int, max_size: int) -> int:
     return sum(math.comb(n, t) for t in range(1, max_size + 1))
 
 
-def _exact_restricted_nullspace(basis: NullspaceBasis, off_rows: list[int]):
-    """Coefficient-space nullspace of the basis rows indexed by off_rows."""
-    d = basis.dim
-    if not off_rows:
-        return [tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)]
-    rows = [[basis.basis_vectors[j][i] for j in range(d)] for i in off_rows]
-    rref, pivots = _rref(rows)
-    free = [c for c in range(d) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * d
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        out.append(tuple(v))
-    return out
-
-
-def _float_restricted_nullspace(arr: np.ndarray, off_rows: list[int], rtol: float):
-    d = arr.shape[1]
-    if not off_rows:
-        return [tuple(row) for row in np.eye(d)]
-    m = arr[off_rows, :]
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1.0)))
-    return [tuple(v) for v in vt[rank:]]
-
-
 def enumerate_extreme_points(
     basis: NullspaceBasis,
     include_antipodes: bool = False,
     budget: int = DEFAULT_SCAN_CAP,
-    rtol: float = 1e-9,
 ) -> list[ExtremePoint]:
     """All extreme points of nullspace-intersect-l1-ball, one per antipodal
     pair unless include_antipodes is set.
 
-    Scans candidate supports of size at most codimension+1; a support is kept
-    when the nullspace restricted to it is one-dimensional and its spanning
-    vector is nonzero on every supported coordinate.
+    Scans candidate supports of size at most codimension+1. The span is the
+    nullspace of the rows that annihilate it, so a candidate is kept when
+    the nullspace of its columns of those rows is one-dimensional and its
+    spanning vector is nonzero on every coordinate.
     """
     n = basis.ambient_dim
     if basis.dim == 0:
@@ -215,52 +175,41 @@ def enumerate_extreme_points(
             f"support scan needs {_scan_budget(n, max_size)} candidates, "
             f"cap is {budget}; too large for exact enumeration"
         )
-    arr = None if basis.exact else basis.as_array()
+    if basis.exact:
+        zero, tol = Fraction(0), 0
+
+        def build(rows):
+            entries = tuple(chain.from_iterable(rows))
+            return nullspace_basis(RealMatrix(len(rows), len(rows[0]), entries))
+    else:
+        zero, tol = 0.0, RANK_RTOL
+
+        def build(rows):
+            return float_nullspace_basis(np.array(rows))
+
+    # one zero row when the span is all of R^n (codimension 0)
+    ann = build(basis.basis_vectors).basis_vectors or ((zero,) * n,)
     found: list[ExtremePoint] = []
     found_supports: list[set[int]] = []
-    all_idx = set(range(n))
     for size in range(1, max_size + 1):
         for gamma in combinations(range(n), size):
             gset = set(gamma)
             if any(fs < gset for fs in found_supports):
                 continue
-            off = sorted(all_idx - gset)
-            if basis.exact:
-                coeffs = _exact_restricted_nullspace(basis, off)
-                if len(coeffs) != 1:
-                    continue
-                c = coeffs[0]
-                z = [
-                    sum(basis.basis_vectors[j][i] * c[j] for j in range(basis.dim))
-                    for i in range(n)
-                ]
-                if any(z[i] == 0 for i in gamma):
-                    continue
-                norm = sum(abs(x) for x in z)
-                z = [x / norm for x in z]
-                lead = next(x for x in z if x != 0)
-                if lead < 0:
-                    z = [-x for x in z]
-                vec = tuple(z)
-                exact = True
-            else:
-                coeffs = _float_restricted_nullspace(arr, off, rtol)
-                if len(coeffs) != 1:
-                    continue
-                z = arr @ np.array(coeffs[0])
-                scale = np.max(np.abs(z))
-                if scale == 0 or np.min(np.abs(z[list(gamma)])) <= rtol * scale:
-                    continue
-                z = z / np.sum(np.abs(z))
-                lead = z[np.flatnonzero(np.abs(z) > rtol)[0]]
-                if lead < 0:
-                    z = -z
-                z[np.abs(z) <= rtol] = 0.0
-                vec = tuple(float(x) for x in z)
-                exact = False
-            support = SupportSet(n, gamma)
+            space = build([[row[j] for j in gamma] for row in ann])
+            if space.dim != 1:
+                continue
+            v = space.basis_vectors[0]
+            mags = [abs(x) for x in v]
+            if min(mags) <= tol * max(mags):
+                continue
+            scale = sum(mags) if v[0] > 0 else -sum(mags)
+            z = [zero] * n
+            for i, x in zip(gamma, v):
+                z[i] = x / scale
+            vec = tuple(z)
             signs = tuple(0 if x == 0 else (1 if x > 0 else -1) for x in vec)
-            found.append(ExtremePoint(vec, support, signs, exact=exact))
+            found.append(ExtremePoint(vec, SupportSet(n, gamma), signs, exact=basis.exact))
             found_supports.append(gset)
     if include_antipodes:
         mirrored = [
@@ -336,28 +285,6 @@ def nullspace_constant(
         if best is None or mass > best:
             best = mass
     return best
-
-
-def gnup_holds(
-    basis: NullspaceBasis,
-    family: list[SupportSet],
-    budget: int = DEFAULT_SCAN_CAP,
-):
-    """Check membership for a whole family; returns (ok, worst (S, witness))."""
-    if not family:
-        raise InputError("family must be non-empty")
-    pts = enumerate_extreme_points(basis, budget=budget)
-    ok = True
-    worst_pair = (None, None)
-    worst_margin = None
-    for s in family:
-        v = masc_contains(basis, s, pts=pts)
-        if not v.in_masc:
-            ok = False
-        if worst_margin is None or v.margin < worst_margin:
-            worst_margin = v.margin
-            worst_pair = (s, v.witness)
-    return ok, worst_pair
 
 
 def masc_enumerate(

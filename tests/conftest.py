@@ -1,11 +1,13 @@
-"""Shared fixtures: small worked-example matrices and random graph helpers."""
+"""Shared fixtures: small worked-example matrices, random graph helpers and
+reference code shared by several test files."""
 
 import random
 
+import numpy as np
 import pytest
 
-from masckit.graphs import DirectedSimpleGraph
-from masckit.linalg import RealMatrix
+from masckit.graphs import DirectedSimpleGraph, incidence_matrix
+from masckit.linalg import RealMatrix, nullspace_basis
 
 
 @pytest.fixture
@@ -51,5 +53,17 @@ def random_connected_graph(rng: random.Random, max_edges: int = 8) -> DirectedSi
 
 def random_rational_matrix(rng: random.Random, rows: int, cols: int) -> RealMatrix:
     return RealMatrix.from_rows(
-        [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], exact=True
+        [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def flow_space_basis(g: DirectedSimpleGraph):
+    """Exact nullspace basis of the incidence matrix (generic-path bridge)."""
+    return nullspace_basis(incidence_matrix(g))
+
+
+def dft_root_powers(n: int) -> np.ndarray:
+    """Array of xi**k for k in 0..n-1, each evaluated directly."""
+    ks = np.arange(n)
+    ang = -2.0 * np.pi * ks / n
+    return np.cos(ang) + 1j * np.sin(ang)

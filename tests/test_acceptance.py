@@ -26,7 +26,6 @@ from masckit.graphs import (
     DirectedSimpleGraph,
     enumerate_simple_cycles,
     erdos_renyi,
-    flow_space_basis,
     incidence_matrix,
     masc_contains_graph,
     nsc_graph,
@@ -50,7 +49,7 @@ from masckit.recovery import (
     recovery_trial,
 )
 
-from conftest import random_connected_graph
+from conftest import flow_space_basis, random_connected_graph
 
 
 def report(num: int, ok: bool, detail: str = ""):

@@ -116,6 +116,42 @@ class TestUsage:
         assert main(["graph", "masc-check", graph_file, "--support", "a,b"]) == 2
 
 
+class TestBadInputFiles:
+    """Malformed or unsupported input files are usage errors (exit 2)."""
+
+    def _write(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        return str(p)
+
+    def test_complex_matrix_rate(self, tmp_path, capsys):
+        m = self._write(tmp_path, "c.txt", "1 2\n1+0i 1\n")
+        assert main(["rate", "--matrix", m, "--sparsity", "1", "--trials", "2"]) == 2
+        assert "complex" in capsys.readouterr().err
+
+    def test_complex_matrix_recover(self, tmp_path, capsys):
+        m = self._write(tmp_path, "c.txt", "1 2\n1+0i 1\n")
+        x = self._write(tmp_path, "x.txt", "2 1\n1\n0\n")
+        assert main(["recover", "--matrix", m, "--signal", x]) == 2
+
+    def test_bad_matrix_token(self, tmp_path, capsys):
+        m = self._write(tmp_path, "m.txt", "1 2\n1 x\n")
+        assert main(["rate", "--matrix", m, "--sparsity", "1", "--trials", "2"]) == 2
+
+    def test_bad_graph_line(self, tmp_path, capsys):
+        g = self._write(tmp_path, "g.txt", "3 1\n0 1 2\n")
+        assert main(["graph", "girth", g]) == 2
+
+    def test_complex_matrix_custom_experiment(self, tmp_path, capsys):
+        m = self._write(tmp_path, "c.txt", "1 2\n1+0i 1\n")
+        cfg = self._write(tmp_path, "cfg.json", json.dumps({
+            "kind": "custom",
+            "parameters": {"matrix_file": m, "sparsities": [1], "trials": 2},
+            "output_csv": str(tmp_path / "out.csv"),
+        }))
+        assert main(["experiment", "--config", cfg]) == 2
+
+
 class TestExperimentCommand:
     def test_custom_experiment(self, matrix_file, tmp_path, capsys):
         csv = tmp_path / "out.csv"

@@ -24,7 +24,7 @@ from masckit.dft import (
     s_max_sampled,
     symmetrize_omega,
 )
-from masckit.linalg import dft_root_powers
+from conftest import dft_root_powers
 
 
 # reference code: direct evaluations and minors the kernel is checked against

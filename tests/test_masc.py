@@ -11,18 +11,40 @@ from scipy.optimize import linprog
 
 from conftest import random_rational_matrix
 from masckit.errors import BudgetExceededError, InputError
-from masckit.linalg import RealMatrix, nullspace_basis
+from masckit.linalg import RealMatrix, float_nullspace_basis, nullspace_basis
 from masckit.masc import (
     ExtremePoint,
     SimplicialComplexSummary,
     SupportSet,
     enumerate_extreme_points,
-    gnup_holds,
     masc_contains,
     masc_enumerate,
     nullspace_constant,
     recoverable_fraction,
 )
+
+
+def gnup_holds(basis, family):
+    """Reference: membership for a whole family; (ok, worst (S, witness))."""
+    pts = enumerate_extreme_points(basis)
+    ok = True
+    worst_pair = (None, None)
+    worst_margin = None
+    for s in family:
+        v = masc_contains(basis, s, pts=pts)
+        if not v.in_masc:
+            ok = False
+        if worst_margin is None or v.margin < worst_margin:
+            worst_margin = v.margin
+            worst_pair = (s, v.witness)
+    return ok, worst_pair
+
+
+def summary_from_json(text: str) -> SimplicialComplexSummary:
+    """Reference inverse of SimplicialComplexSummary.to_json."""
+    d = json.loads(text)
+    faces = tuple(SupportSet.of(d["n"], f) for f in d["maximal_faces"])
+    return SimplicialComplexSummary(d["n"], faces, all(len(f) == 0 for f in faces))
 
 
 def basis_of(rows):
@@ -116,6 +138,28 @@ class TestEnumerateExtremePoints:
         with pytest.raises(BudgetExceededError):
             enumerate_extreme_points(basis_of([[1] * 30]), budget=10)
 
+    def test_zero_row_unit_vectors(self):
+        # codimension 0: the annihilator is empty and the scan uses a zero row
+        pts = enumerate_extreme_points(basis_of([[0, 0, 0]]))
+        assert [p.vector for p in pts] == [
+            (Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(1), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1)),
+        ]
+        assert [p.sign_vector for p in pts] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def test_float_scan_matches_exact(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            phi = random_rational_matrix(rng, rng.randint(1, 3), rng.randint(2, 6))
+            exact = enumerate_extreme_points(nullspace_basis(phi))
+            approx = enumerate_extreme_points(float_nullspace_basis(phi.to_float_array()))
+            assert [p.support for p in approx] == [p.support for p in exact]
+            assert [p.sign_vector for p in approx] == [p.sign_vector for p in exact]
+            for a, e in zip(approx, exact):
+                assert not a.exact and e.exact
+                assert np.allclose(a.as_float(), e.as_float(), rtol=0, atol=1e-9)
+
 
 class TestMascContains:
     def test_example_all_singletons_rejected(self):
@@ -198,7 +242,7 @@ class TestMascEnumerate:
 
     def test_json_roundtrip(self):
         summ = masc_enumerate(basis_of([[1, 1, 1, 1]]))
-        again = SimplicialComplexSummary.from_json(summ.to_json())
+        again = summary_from_json(summ.to_json())
         assert again == summ
 
     @settings(max_examples=15, deadline=None)
