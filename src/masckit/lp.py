@@ -24,13 +24,6 @@ class LpResult:
     x: np.ndarray
     objective: float
     status: str  # "optimal" or "infeasible"
-    tie: bool  # a nonbasic column had (numerically) zero reduced cost
-
-
-def _nonbasic_mask(ncols, basis):
-    mask = np.ones(ncols, dtype=bool)
-    mask[basis] = False
-    return mask
 
 
 def _drop_dependent_rows(a, b):
@@ -38,34 +31,34 @@ def _drop_dependent_rows(a, b):
 
     Dependent equality rows (common after realifying conjugate-symmetric
     complex matrices) leave artificial variables stuck at zero and can drive
-    the basis singular, so they are removed up front. Returns (a, b) reduced,
-    or None when a dropped row contradicts the kept ones.
+    the basis singular, so they are removed up front. Row i is kept when its
+    residual off the span of the rows before it exceeds 1e-10 of
+    max(||a_i||, 1). The projection onto the kept rows' orthonormal basis is
+    applied twice, which keeps that basis orthonormal to rounding. Returns
+    (a, b) reduced, or None when a dropped row contradicts the kept ones.
     """
-    m, _ = a.shape
-    keep: list[int] = []
-    q: list[np.ndarray] = []
-    dropped: list[int] = []
-    for i in range(m):
-        r = a[i].copy()
-        for u in q:
-            r -= (u @ a[i]) * u
+    m, n = a.shape
+    q = np.empty((min(m, n), n))
+    keep = np.zeros(m, dtype=bool)
+    k = 0
+    for i, row in enumerate(a):
+        r = row - (q[:k] @ row) @ q[:k]
+        r -= (q[:k] @ r) @ q[:k]
         norm = np.linalg.norm(r)
-        if norm > 1e-10 * max(np.linalg.norm(a[i]), 1.0):
-            keep.append(i)
-            q.append(r / norm)
-        else:
-            dropped.append(i)
-    if not dropped:
+        if norm > 1e-10 * max(np.linalg.norm(row), 1.0):
+            keep[i] = True
+            q[k] = r / norm
+            k += 1
+    if keep.all():
         return a, b
     ak, bk = a[keep], b[keep]
-    for i in dropped:
-        coef, *_ = np.linalg.lstsq(ak.T, a[i], rcond=None)
-        if abs(coef @ bk - b[i]) > 1e-7 * max(1.0, np.abs(b).max()):
-            return None
+    coef, *_ = np.linalg.lstsq(ak.T, a[~keep].T, rcond=None)
+    if np.any(np.abs(coef.T @ bk - b[~keep]) > 1e-7 * max(1.0, np.abs(b).max())):
+        return None
     return ak, bk
 
 
-def solve_standard_lp(a, b, c, max_iter: int | None = None) -> LpResult:
+def solve_standard_lp(a, b, c) -> LpResult:
     """Minimize c@x subject to a@x = b, x >= 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).copy()
@@ -73,11 +66,10 @@ def solve_standard_lp(a, b, c, max_iter: int | None = None) -> LpResult:
     n_orig = a.shape[1]
     reduced = _drop_dependent_rows(a, b)
     if reduced is None:
-        return LpResult(np.zeros(n_orig), np.inf, "infeasible", False)
+        return LpResult(np.zeros(n_orig), np.inf, "infeasible")
     a, b = reduced
     m, n = a.shape
-    if max_iter is None:
-        max_iter = 2000 + 30 * m + n
+    max_iter = 2000 + 30 * m + n
     flip = b < 0
     a = a.copy()
     a[flip] *= -1.0
@@ -92,19 +84,19 @@ def solve_standard_lp(a, b, c, max_iter: int | None = None) -> LpResult:
     feas_tol = 1e-7 * max(1.0, np.abs(b).sum())
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     allowed = np.ones(n + m, dtype=bool)
-    _, xb = _run_phase(full_a, c1, basis, allowed, max_iter, b, target=feas_tol)
+    xb = _run_phase(full_a, c1, basis, allowed, max_iter, b, target=feas_tol)
     if float(c1[basis] @ xb) > feas_tol:
-        return LpResult(np.zeros(n), np.inf, "infeasible", False)
+        return LpResult(np.zeros(n), np.inf, "infeasible")
     _purge_artificials(full_a, basis, n)
 
     # phase 2: original objective, artificials may not re-enter
     c2 = np.concatenate([c, np.zeros(m)])
     allowed = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-    tie, xb = _run_phase(full_a, c2, basis, allowed, max_iter, b)
+    xb = _run_phase(full_a, c2, basis, allowed, max_iter, b)
 
     x = np.zeros(n + m)
     x[basis] = np.maximum(xb, 0.0)
-    return LpResult(x[:n], float(c @ x[:n]), "optimal", tie)
+    return LpResult(x[:n], float(c @ x[:n]), "optimal")
 
 
 def _purge_artificials(full_a, basis, n):
@@ -129,36 +121,13 @@ def _purge_artificials(full_a, basis, n):
             basis[i] = j
 
 
-def _has_alternative_optimum(full_a, b_mat, xb, flat):
-    """True when some zero-reduced-cost nonbasic column admits a positive step.
-
-    A flat column alone only signals an alternative optimal *basis*; the
-    optimal *solution* differs exactly when the column can enter with a
-    strictly positive step (degenerate zero-step pivots reproduce the same
-    point).
-    """
-    cols = np.flatnonzero(flat)
-    if cols.size == 0:
-        return False
-    directions = np.linalg.solve(b_mat, full_a[:, cols])
-    for idx in range(cols.size):
-        d = directions[:, idx]
-        pos = np.flatnonzero(d > PIVOT_TOL)
-        if pos.size == 0:
-            return True  # ray of optima
-        if np.min(np.maximum(xb[pos], 0.0) / d[pos]) > PIVOT_TOL:
-            return True
-    return False
-
-
 def _run_phase(full_a, cvec, basis, allowed, max_iter, b, target=-np.inf):
     """Revised simplex iterations, refactoring the basis every step.
 
     Factorizing ``full_a[:, basis]`` each iteration costs O(m^3) but removes
     the numerical drift of maintained product-form inverses; the bases here
-    are small enough that robustness wins. Returns (tie_flag, basic_solution).
+    are small enough that robustness wins. Returns the basic solution.
     """
-    m, ncols = full_a.shape
     stall = 0
     best_obj = np.inf
     for _ in range(max_iter):
@@ -169,16 +138,14 @@ def _run_phase(full_a, cvec, basis, allowed, max_iter, b, target=-np.inf):
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis matrix") from exc
         if float(cvec[basis] @ xb) <= target:
-            return False, xb
+            return xb
         reduced = cvec - y @ full_a
         reduced[basis] = 0.0
         eligible = allowed & (reduced < -PIVOT_TOL)
         eligible[basis] = False
         cand = np.flatnonzero(eligible)
         if cand.size == 0:
-            nb = _nonbasic_mask(ncols, basis)
-            flat = allowed & nb & (np.abs(reduced) <= PIVOT_TOL)
-            return _has_alternative_optimum(full_a, b_mat, xb, flat), xb
+            return xb
         obj = float(cvec[basis] @ xb)
         if obj < best_obj - PIVOT_TOL:
             best_obj = obj

@@ -1,10 +1,13 @@
 """Equality-constrained l1 minimization (basis pursuit) and the Monte-Carlo
 recovery harness used by all experiments.
 
-The LP is the split-variable formulation min sum(u+v) s.t. A(u-v)=y, u,v>=0,
-solved by the in-package simplex. Randomness comes from numpy's PCG64
-generator; each trial draws from a stream seeded by SeedSequence((seed, trial))
-so results are reproducible and trials are independent.
+Basis pursuit is the split-variable LP min sum(u+v) s.t. A(u-v)=y, u,v>=0,
+solved by the in-package simplex. A recovery trial does not solve it: it
+decides whether x is the unique l1 minimizer by a dual certificate (Fuchs
+2004), and only when that is inconclusive by one LP, the uniqueness test of
+Mangasarian (1979). Randomness comes from numpy's PCG64 generator; each
+trial draws from a stream seeded by SeedSequence((seed, trial)) so results
+are reproducible and trials are independent.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ __all__ = [
     "realify",
 ]
 
-DEFAULT_SUCCESS_TOL = 1e-6
+# step 1 certifies recovery when ||A_{S^c}^T w0||_inf stays this far below 1
+CERTIFICATE_MARGIN = 1e-7
+# step 2: off-support mass at or below this fraction of ||x||_1 is rounding
+UNIQUE_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,9 @@ class TrialConfig:
     sparsity: int
     trials: int
     seed: int
-    tol: float = DEFAULT_SUCCESS_TOL
 
     def __post_init__(self):
-        if self.sparsity < 1 or self.trials < 1 or self.tol <= 0:
+        if self.sparsity < 1 or self.trials < 1:
             raise InputError("invalid trial configuration")
 
 
@@ -69,39 +74,57 @@ def realify(complex_matrix: np.ndarray) -> np.ndarray:
     return np.vstack([c.real, c.imag])
 
 
-def basis_pursuit(problem: RecoveryProblem):
-    """Solve min ||x||_1 s.t. measurement @ x = observed.
+def basis_pursuit(problem: RecoveryProblem) -> np.ndarray:
+    """Solve min ||x||_1 s.t. measurement @ x = observed; returns x_hat.
 
-    Returns (x_hat, status) where status is "optimal", or
-    "optimal-possibly-nonunique" when a nonbasic column sat at zero reduced
-    cost (a degenerate tie; the optimum may not be unique).
+    When the minimizer is not unique, x_hat is one of them; `recovery_trial`
+    decides uniqueness.
     """
     a = problem.measurement
-    y = problem.observed
-    m, n = a.shape
-    split = np.hstack([a, -a])
-    cost = np.ones(2 * n)
-    res = solve_standard_lp(split, y, cost)
+    n = a.shape[1]
+    res = solve_standard_lp(np.hstack([a, -a]), problem.observed, np.ones(2 * n))
     if res.status == "infeasible":
         raise SolverError("observed vector is outside the range of the matrix")
-    x = res.x[:n] - res.x[n:]
-    return x, ("optimal-possibly-nonunique" if res.tie else "optimal")
+    return res.x[:n] - res.x[n:]
 
 
-def recovery_trial(a: np.ndarray, x_true: np.ndarray, tol: float = DEFAULT_SUCCESS_TOL) -> bool:
-    """Single trial: does basis pursuit on (a, a @ x_true) return x_true?
+def recovery_trial(a: np.ndarray, x_true: np.ndarray) -> bool:
+    """Single trial: is x_true the unique minimizer of ||z||_1 s.t. a z = a x_true?
 
-    Recovery means x_true is the *unique* l1 minimizer, so a flagged tie
-    (non-unique optimum) counts as failure even when the solver's
-    tie-breaking happens to land on x_true.
+    Let S = supp(x_true). x_true is the unique minimizer iff a_S has full
+    column rank and some w has a_S^T w = sign(x_S) and ||a_{S^c}^T w||_inf < 1
+    (Fuchs 2004). Step 1 tries the least-squares w0 only. When it does not
+    decide, step 2 solves one LP (Mangasarian 1979): the largest off-support
+    mass sum_{j not in S} (u_j + v_j) over a(u - v) = a x_true,
+    sum(u + v) <= ||x_true||_1, u, v >= 0. With a_S of full column rank,
+    x_true is unique iff that mass is zero. Ties (non-unique minimizers)
+    count as failures.
     """
-    x_true = np.asarray(x_true, dtype=float)
-    if not np.all(np.isfinite(x_true)):
-        raise InputError("signal must be finite")
-    x_hat, status = basis_pursuit(RecoveryProblem(a, a @ x_true))
-    if status != "optimal":
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x_true, dtype=float)
+    if a.ndim != 2 or x.shape != (a.shape[1],):
+        raise InputError("inconsistent problem dimensions")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
+        raise InputError("non-finite problem data")
+    m, n = a.shape
+    on = x != 0
+    w0, _, rank, _ = np.linalg.lstsq(a[:, on].T, np.sign(x[on]), rcond=None)
+    if rank < np.count_nonzero(on):
         return False
-    return bool(np.linalg.norm(x_hat - x_true) <= tol)
+    if np.abs(a[:, ~on].T @ w0).max(initial=0.0) < 1.0 - CERTIFICATE_MARGIN:
+        return True
+
+    # step 2: variables (u, v, slack); minimize minus the off-support mass
+    l1 = float(np.abs(x).sum())
+    lhs = np.zeros((m + 1, 2 * n + 1))
+    lhs[:m, :n] = a
+    lhs[:m, n:2 * n] = -a
+    lhs[m] = 1.0
+    cost = np.append(np.tile(np.where(on, 0.0, -1.0), 2), 0.0)
+    res = solve_standard_lp(lhs, np.append(a @ x, l1), cost)
+    if res.status == "infeasible":
+        raise SolverError("uniqueness LP reported infeasible at a feasible point")
+    return -res.objective <= UNIQUE_MASS_TOL * l1
 
 
 def random_sparse_signal(n: int, s: int, entropy: tuple[int, ...]) -> np.ndarray:
@@ -128,11 +151,11 @@ def recovery_rate(a: np.ndarray, cfg: TrialConfig) -> float:
     hits = 0
     for t in range(cfg.trials):
         x = random_sparse_signal(n, cfg.sparsity, (cfg.seed, t))
-        hits += recovery_trial(a, x, cfg.tol)
+        hits += recovery_trial(a, x)
     return hits / cfg.trials
 
 
-def mrsl_naive(a: np.ndarray, k: int, seed: int = 0, tol: float = DEFAULT_SUCCESS_TOL) -> int:
+def mrsl_naive(a: np.ndarray, k: int, seed: int = 0) -> int:
     """Sampling upper bound on the largest uniformly recoverable sparsity.
 
     Starts at s = n and decrements until k random s-sparse signals are all
@@ -146,7 +169,7 @@ def mrsl_naive(a: np.ndarray, k: int, seed: int = 0, tol: float = DEFAULT_SUCCES
         ok = True
         for t in range(k):
             x = random_sparse_signal(n, s, (seed, s, t))
-            if not recovery_trial(a, x, tol):
+            if not recovery_trial(a, x):
                 ok = False
                 break
         if ok:

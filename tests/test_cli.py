@@ -31,6 +31,22 @@ class TestRecoverRate:
         assert out["recovered"]
         assert out["x_hat"] == pytest.approx([0.8, 0.0, 0.0], abs=1e-9)
 
+    def test_recover_tie_is_not_recovered(self, tmp_path, capsys):
+        # K5 (edges low to high), x = 0.6 e_(0,4) + 0.8 e_(1,3): the 4-cycle
+        # 0-4-1-3 gives a second minimizer of equal l1 norm
+        edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        rows = [[(v == j) - (v == i) for i, j in edges] for v in range(5)]
+        m = tmp_path / "k5.txt"
+        m.write_text("5 10\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+        x = [0] * 10
+        x[edges.index((0, 4))], x[edges.index((1, 3))] = "3/5", "4/5"
+        sig = tmp_path / "x.txt"
+        sig.write_text("10 1\n" + "\n".join(map(str, x)) + "\n")
+        assert main(["recover", "--matrix", str(m), "--signal", str(sig)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["recovered"] is False
+        assert set(out) == {"recovered", "x_hat"}
+
     def test_rate_csv_row(self, matrix_file, capsys):
         code = main(
             ["rate", "--matrix", matrix_file, "--sparsity", "1",

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from masckit.dft import band_spec
 from masckit.errors import SolverError
-from masckit.lp import LpResult, solve_standard_lp
+from masckit.graphs import erdos_renyi, incidence_matrix
+from masckit.lp import LpResult, _drop_dependent_rows, solve_standard_lp
+from masckit.recovery import realify
 
 
 def test_simple_feasible():
@@ -57,13 +60,47 @@ def test_against_scipy(seed, m, n):
     assert np.all(res.x >= -1e-9)
 
 
-def test_tie_flag_on_symmetric_optimum():
-    # min x0 + x1 s.t. x0 + x1 = 1 has a whole segment of optima
-    res = solve_standard_lp(np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2))
-    assert res.tie
-
-
 def test_result_type():
     res = solve_standard_lp(np.eye(2), np.ones(2), np.ones(2))
     assert isinstance(res, LpResult)
     assert np.allclose(res.x, [1.0, 1.0])
+
+
+def gram_schmidt_kept_rows(a):
+    """Reference presolve: row i is kept when its residual off the span of
+    the rows before it exceeds 1e-10 of max(||a_i||, 1)."""
+    kept, q = [], []
+    for i, row in enumerate(a):
+        r = row.copy()
+        for u in q:
+            r -= (u @ row) * u
+        norm = np.linalg.norm(r)
+        if norm > 1e-10 * max(np.linalg.norm(row), 1.0):
+            kept.append(i)
+            q.append(r / norm)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        realify(band_spec(19, 7).partial_matrix()),
+        realify(band_spec(61, 15).partial_matrix()),
+        np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]]),  # m > n
+        np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]),  # zero row
+        incidence_matrix(erdos_renyi(30, 0.2, 3)).to_float_array(),  # rank m - 1
+    ],
+    ids=["band19", "band61", "tall", "zero-row", "incidence"],
+)
+def test_drop_dependent_rows_matches_gram_schmidt(a):
+    b = a @ np.arange(1.0, a.shape[1] + 1)  # consistent right-hand side
+    kept = gram_schmidt_kept_rows(a)
+    ak, bk = _drop_dependent_rows(a, b)
+    assert np.array_equal(ak, a[kept]) and np.array_equal(bk, b[kept])
+
+
+def test_drop_dependent_rows_inconsistent():
+    a = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])
+    assert _drop_dependent_rows(a, np.array([1.0, 3.0, 1.0])) is None
+    ak, bk = _drop_dependent_rows(a, np.array([1.0, 2.0, 1.0]))
+    assert np.array_equal(ak, a[[0, 2]]) and np.array_equal(bk, [1.0, 1.0])

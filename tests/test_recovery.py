@@ -1,10 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import masckit.recovery
 from masckit.errors import InputError, SolverError
-from masckit.graphs import incidence_matrix
+from masckit.graphs import DirectedSimpleGraph, erdos_renyi, incidence_matrix
 from masckit.recovery import (
     RecoveryProblem,
     TrialConfig,
@@ -19,20 +24,51 @@ from masckit.recovery import (
 TRIANGLE = np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
 
 
+def t_star_reference(a, x):
+    """Dual certificate by HiGHS: inf when a_S lacks full column rank, else
+    t* = min ||a_{S^c}^T w||_inf subject to a_S^T w = sign(x_S). x is the
+    unique l1 minimizer iff t* < 1; t* = 1 is a tie."""
+    on = x != 0
+    if np.linalg.matrix_rank(a[:, on]) < np.count_nonzero(on):
+        return math.inf
+    if on.all():
+        return 0.0
+    m = a.shape[0]
+    g = a[:, ~on].T
+    ones = np.ones((g.shape[0], 1))
+    res = linprog(
+        np.append(np.zeros(m), 1.0),
+        A_ub=np.vstack([np.hstack([g, -ones]), np.hstack([-g, -ones])]),
+        b_ub=np.zeros(2 * g.shape[0]),
+        A_eq=np.hstack([a[:, on].T, np.zeros((np.count_nonzero(on), 1))]),
+        b_eq=np.sign(x[on]),
+        bounds=[(None, None)] * m + [(0, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def complete_graph(k):
+    """K_k with every edge oriented from low to high vertex."""
+    edges = tuple((i, j) for i in range(k) for j in range(i + 1, k))
+    return DirectedSimpleGraph(k, edges), edges
+
+
 class TestBasisPursuit:
     def test_zero_observation(self):
-        x, status = basis_pursuit(RecoveryProblem(TRIANGLE, np.zeros(3)))
+        x = basis_pursuit(RecoveryProblem(TRIANGLE, np.zeros(3)))
         assert np.allclose(x, 0)
-        assert status.startswith("optimal")
 
     def test_identity(self):
         y = np.array([0.3, -1.2, 0.0, 2.0])
-        x, _ = basis_pursuit(RecoveryProblem(np.eye(4), y))
+        x = basis_pursuit(RecoveryProblem(np.eye(4), y))
         assert np.allclose(x, y, atol=1e-9)
 
     def test_triangle_one_sparse(self):
         x_true = np.array([0.8, 0.0, 0.0])
-        x, _ = basis_pursuit(RecoveryProblem(TRIANGLE, TRIANGLE @ x_true))
+        x = basis_pursuit(RecoveryProblem(TRIANGLE, TRIANGLE @ x_true))
         assert np.linalg.norm(x - x_true) <= 1e-6
 
     def test_infeasible_raises(self):
@@ -47,7 +83,7 @@ class TestBasisPursuit:
             x_true = np.zeros(6)
             x_true[rng.choice(6, 2, replace=False)] = rng.standard_normal(2)
             y = a @ x_true
-            x, _ = basis_pursuit(RecoveryProblem(a, y))
+            x = basis_pursuit(RecoveryProblem(a, y))
             assert np.linalg.norm(a @ x - y) <= 1e-8 * max(np.linalg.norm(y), 1.0)
             assert np.abs(x).sum() <= np.abs(x_true).sum() + 1e-8
 
@@ -72,6 +108,73 @@ class TestRecoveryTrial:
             x[i] = sign
             failed = failed or not recovery_trial(phi, x)
         assert failed
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_disjoint_edge_pairs_are_ties(self, k):
+        # x = 0.6 e + 0.8 f on disjoint edges e, f of K_k: a 4-cycle through
+        # both edges gives an equally short solution, so none is recovered
+        g, edges = complete_graph(k)
+        a = incidence_matrix(g).to_float_array()
+        pairs = [(e, f) for e, f in itertools.permutations(edges, 2) if not set(e) & set(f)]
+        assert len(pairs) == {5: 30, 6: 90}[k]
+        for e, f in pairs:
+            x = np.zeros(len(edges))
+            x[edges.index(e)], x[edges.index(f)] = 0.6, 0.8
+            assert t_star_reference(a, x) == pytest.approx(1.0, abs=1e-9)
+            assert not recovery_trial(a, x), (e, f)
+
+    def test_fig4_tie(self):
+        # fig4 --fast: graph seed 1010 (p = p_crit^(5/9)), s = 2, trial 9
+        p_crit = math.log(100) / 100
+        g = erdos_renyi(100, p_crit ** (5 / 9), 1010)
+        a = incidence_matrix(g).to_float_array()
+        x = random_sparse_signal(g.edge_count, 2, (1010 * 31 + 2, 9))
+        assert t_star_reference(a, x) == pytest.approx(1.0, abs=1e-9)
+        assert not recovery_trial(a, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, seed):
+        # small integer matrices and values make ties (t* = 1) common
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        n = int(rng.integers(m + 1, 9))
+        if rng.random() < 0.75:
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        else:
+            a = rng.standard_normal((m, n))
+        x = np.zeros(n)
+        s = int(rng.integers(1, n + 1))
+        x[rng.choice(n, s, replace=False)] = rng.choice([-1.0, 1.0], s) * rng.integers(1, 4, s)
+        t_star = t_star_reference(a, x)
+        got = recovery_trial(a, x)
+        if abs(t_star - 1.0) <= 1e-8:
+            assert not got
+        else:
+            assert got == (t_star < 1.0)
+
+    def test_one_sparse_on_graphs_needs_no_lp(self, monkeypatch, chain_graph):
+        # on a simple graph w0 = sign(x_e) (e_head - e_tail) / 2 gives 1/2 on
+        # every edge that meets e, so step 1 decides every 1-sparse trial
+        def no_lp(*args):
+            raise AssertionError("LP solved")
+
+        monkeypatch.setattr(masckit.recovery, "solve_standard_lp", no_lp)
+        graphs = [chain_graph, complete_graph(6)[0], erdos_renyi(30, 0.2, 4)]
+        for g in graphs:
+            a = incidence_matrix(g).to_float_array()
+            for e, value in itertools.product(range(g.edge_count), (0.7, -1.3)):
+                x = np.zeros(g.edge_count)
+                x[e] = value
+                assert recovery_trial(a, x)
+
+    def test_input_checks(self):
+        with pytest.raises(InputError):
+            recovery_trial(TRIANGLE, np.array([1.0, np.nan, 0.0]))
+        with pytest.raises(InputError):
+            recovery_trial(TRIANGLE, np.zeros(4))
+        with pytest.raises(InputError):
+            recovery_trial(np.array([[1.0, np.inf, 0.0]]), np.zeros(3))
 
 
 class TestRandomSparseSignal:
