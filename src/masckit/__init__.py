@@ -40,7 +40,6 @@ from .graphs import (
     w1,
 )
 from .linalg import (
-    ComplexMatrix,
     NullspaceBasis,
     RealMatrix,
     dft_matrix,

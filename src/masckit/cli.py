@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .dft import (
+    DEFAULT_GAMMA_BUDGET,
     band_spec,
     coherence_lower_bound,
     masc_contains_dft,
@@ -23,6 +24,7 @@ from .dft import (
 from .errors import BudgetExceededError, InputError, NumericalBoundaryError
 from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
+    DEFAULT_CYCLE_CAP,
     enumerate_simple_cycles,
     erdos_renyi,
     format_graph_text,
@@ -30,7 +32,7 @@ from .graphs import (
     masc_contains_graph,
     parse_graph_text,
 )
-from .linalg import parse_real_matrix_text
+from .linalg import parse_matrix_text
 from .masc import MembershipVerdict, SupportSet
 from .recovery import (
     RecoveryProblem,
@@ -59,7 +61,7 @@ def _read(path: str) -> str:
 
 
 def _load_float_matrix(path: str) -> np.ndarray:
-    return parse_real_matrix_text(_read(path)).to_float_array()
+    return parse_matrix_text(_read(path)).to_float_array()
 
 
 def _verdict_payload(v: MembershipVerdict, worst_gamma=None) -> dict:
@@ -227,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("girth", "cycles", "masc-check"):
         gp = gsub.add_parser(name)
         gp.add_argument("file")
-        gp.add_argument("--cap", type=int, default=10**6)
+        if name != "girth":
+            gp.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP)
         if name == "masc-check":
             gp.add_argument("--support", required=True)
             gp.add_argument("--lazy", action="store_true")
@@ -244,9 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         dp.add_argument("--n", type=int, required=True)
         dp.add_argument("--omega")
         dp.add_argument("--mbar", type=int)
-        dp.add_argument("--budget", type=int, default=10**6)
-        dp.add_argument("--samples", type=int, default=1000)
-        dp.add_argument("--seed", type=int, default=0)
+        if name != "bound":
+            dp.add_argument("--budget", type=int, default=DEFAULT_GAMMA_BUDGET)
+            dp.add_argument("--samples", type=int, default=1000)
+            dp.add_argument("--seed", type=int, default=0)
         if name == "masc-check":
             dp.add_argument("--support", required=True)
             dp.add_argument("--sampled", action="store_true")

@@ -5,23 +5,23 @@ comparisons over candidate supports one larger than the measured row set.
 The weights are the magnitudes of the nullspace vector restricted to the
 candidate support (proportional to its submatrix minors); when the row set is
 a contiguous symmetric band they are 1/|f'_Gamma| at the roots of unity. One
-batched kernel, `_weights`, computes them for every caller.
+batched kernel, `_weights`, computes them for every caller, one block of
+candidates at a time from `_weight_blocks`; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, NumericalBoundaryError
 from .linalg import dft_matrix
-from .masc import ExtremePoint, MembershipVerdict, SupportSet
+from .masc import FLOAT_TIE_BAND, ExtremePoint, MembershipVerdict, SupportSet
 
 __all__ = [
     "PartialDFTSpec",
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_GAMMA_BUDGET = 10**6
-TIE_BAND_REL = 1e-9
 
 # entries per batched block of weight or swap evaluations (bounds peak memory)
 _BLOCK = 1 << 18
@@ -90,8 +89,7 @@ class PartialDFTSpec:
 
     def partial_matrix(self) -> np.ndarray:
         """The |omega| x n complex measurement matrix."""
-        full = dft_matrix(self.n).to_array()
-        return full[list(self.omega.indices), :]
+        return dft_matrix(self.n)[list(self.omega.indices), :]
 
 
 @dataclass(frozen=True)
@@ -174,30 +172,34 @@ def _block_rows(spec: PartialDFTSpec) -> int:
 
 
 def _weights(spec: PartialDFTSpec, gammas: np.ndarray) -> np.ndarray:
-    """Comparison weights for each row of gammas (B, |omega|+1), each row
-    normalized to unit sum.
+    """Comparison weights for each row of one block of candidate supports
+    (B, |omega|+1), each row normalized to unit sum.
 
     Band row sets: log w_k = -sum over u in gamma, u != k, of
     log |xi^k - xi^u|, i.e. w_k = 1/|f'_Gamma(xi^k)|. Other row sets: the
     magnitudes of the restricted null vector from a batched SVD. Both are
-    proportional to the alternating minors.
+    proportional to the alternating minors. Memory grows with B * |gamma|^2;
+    `_weight_blocks` keeps B to `_block_rows`.
     """
     n = spec.n
     gammas = np.asarray(gammas, dtype=int)
-    rows = _block_rows(spec)
-    out = np.empty(gammas.shape)
     if spec.mbar is not None:
         table = _sin_log_table(n)
-        for lo in range(0, len(gammas), rows):
-            g = gammas[lo:lo + rows]
-            logs = -table[(g[:, :, None] - g[:, None, :]) % n].sum(axis=2)
-            out[lo:lo + rows] = _unit_rows(logs)
-    else:
-        f = spec.partial_matrix()
-        for lo in range(0, len(gammas), rows):
-            w = np.abs(_null_vectors(f, gammas[lo:lo + rows]))
-            out[lo:lo + rows] = w / w.sum(axis=1, keepdims=True)
-    return out
+        logs = -table[(gammas[:, :, None] - gammas[:, None, :]) % n].sum(axis=2)
+        return _unit_rows(logs)
+    w = np.abs(_null_vectors(spec.partial_matrix(), gammas))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _weight_blocks(spec: PartialDFTSpec, gammas):
+    """Stream an iterable of candidate supports (index tuples) as
+    (block, weights) pairs of `_block_rows(spec)` rows at a time: block is
+    the (B, |omega|+1) index array, weights its unit-sum rows."""
+    gammas = iter(gammas)
+    rows = _block_rows(spec)
+    while block := list(islice(gammas, rows)):
+        block = np.array(block, dtype=int)
+        yield block, _weights(spec, block)
 
 
 def _s_max_rows(weights: np.ndarray) -> np.ndarray:
@@ -248,13 +250,16 @@ def _nu_extreme_point(spec: PartialDFTSpec, gamma: SupportSet) -> ExtremePoint:
     return ExtremePoint(tuple(float(x) for x in v), gamma, signs, exact=False)
 
 
-def _check_budget(spec: PartialDFTSpec, budget: int) -> None:
+def _all_gammas(spec: PartialDFTSpec, budget: int):
+    """Every candidate support in lexicographic order, after checking that
+    their count fits the budget."""
     total = math.comb(spec.n, spec.gamma_size)
     if total > budget:
         raise BudgetExceededError(
             f"{total} candidate supports exceed the budget {budget}; "
             "use sampled mode"
         )
+    return combinations(range(spec.n), spec.gamma_size)
 
 
 def _sample_gammas(spec: PartialDFTSpec, sample_size: int, seed: int):
@@ -277,17 +282,6 @@ def _sample_gammas(spec: PartialDFTSpec, sample_size: int, seed: int):
             seen.add(key)
             out.append(tuple(sorted(chosen)))
     return out
-
-
-@functools.lru_cache(maxsize=4)
-def _weight_table(spec: PartialDFTSpec):
-    """All candidate supports with their weights normalized to unit row sum.
-
-    Cached so repeated membership checks against the same spec pay the
-    enumeration cost once. Returns (gammas, weights) as 2-d arrays.
-    """
-    gammas = np.array(list(combinations(range(spec.n), spec.gamma_size)), dtype=int)
-    return gammas, _weights(spec, gammas)
 
 
 def masc_contains_dft(
@@ -313,22 +307,24 @@ def masc_contains_dft(
         # full row set: trivial nullspace, every support recoverable
         return MembershipVerdict(True, True, 0.5, None)
     if sampled:
-        gammas = np.array(_sample_gammas(spec, sample_size, seed))
-        weights = _weights(spec, gammas)
+        gammas = _sample_gammas(spec, sample_size, seed)
     else:
-        _check_budget(spec, budget)
-        gammas, weights = _weight_table(spec)
+        gammas = _all_gammas(spec, budget)
     mask = np.zeros(spec.n)
     mask[list(s.indices)] = 1.0
-    masses = (weights * mask[gammas]).sum(axis=1)
-    worst = int(np.argmax(masses))
-    worst_mass = float(masses[worst])
-    boundary = abs(worst_mass - 0.5) <= TIE_BAND_REL
+    # the first support of largest mass across blocks, as one argmax would
+    worst_mass, worst = -math.inf, None
+    for block, weights in _weight_blocks(spec, gammas):
+        masses = (weights * mask[block]).sum(axis=1)
+        at = int(np.argmax(masses))
+        if masses[at] > worst_mass:
+            worst_mass, worst = float(masses[at]), block[at]
+    boundary = abs(worst_mass - 0.5) <= FLOAT_TIE_BAND
     margin = 0.5 - worst_mass
     in_masc = worst_mass < 0.5
     witness = None
     if not in_masc or boundary:
-        witness = _nu_extreme_point(spec, SupportSet.of(spec.n, gammas[worst]))
+        witness = _nu_extreme_point(spec, SupportSet.of(spec.n, worst))
     if boundary:
         return MembershipVerdict(False, False, margin, witness)
     if sampled and in_masc:
@@ -360,9 +356,8 @@ def s_max_exact(spec: PartialDFTSpec, budget: int = DEFAULT_GAMMA_BUDGET) -> int
     """Minimum of the per-gamma sparsity over every candidate support."""
     if spec.gamma_size > spec.n:
         return spec.n
-    _check_budget(spec, budget)
-    _gammas, weights = _weight_table(spec)
-    return int(_s_max_rows(weights).min())
+    blocks = _weight_blocks(spec, _all_gammas(spec, budget))
+    return min(int(_s_max_rows(w).min()) for _, w in blocks)
 
 
 def s_max_sampled(spec: PartialDFTSpec, sample_size: int, seed: int) -> int:
@@ -385,12 +380,7 @@ def s_max_sampled(spec: PartialDFTSpec, sample_size: int, seed: int) -> int:
     if spec.gamma_size > spec.n:
         return spec.n
     gammas = _sample_gammas(spec, sample_size, seed)
-    best = spec.n
-    # reduce block by block: the weights of the whole sample are never held
-    rows = _block_rows(spec)
-    for lo in range(0, len(gammas), rows):
-        block = _weights(spec, np.array(gammas[lo:lo + rows]))
-        best = min(best, int(_s_max_rows(block).min()))
+    best = min(int(_s_max_rows(w).min()) for _, w in _weight_blocks(spec, gammas))
     if spec.mbar is not None and len(gammas) < math.comb(spec.n, spec.gamma_size):
         evaluations = len(gammas) * (spec.n - spec.gamma_size)
         best = min(best, _swap_search(spec, gammas[0], evaluations))

@@ -23,7 +23,7 @@ import numpy as np
 from .dft import band_spec, coherence_lower_bound, s_max_sampled
 from .errors import BudgetExceededError, InputError
 from .graphs import DirectedSimpleGraph, erdos_renyi, incidence_matrix
-from .linalg import parse_real_matrix_text
+from .linalg import parse_matrix_text
 from .recovery import TrialConfig, mrsl_naive, realify, recovery_rate
 
 __all__ = ["ExperimentConfig", "run_experiment", "emit_plot"]
@@ -216,9 +216,11 @@ def _dft_masc_fraction(spec, s: int) -> float:
     """Exact fraction of size-s supports certified always-recoverable."""
     from itertools import combinations
 
-    from .dft import _weight_table
+    from .dft import _weight_blocks
 
-    gammas, weights = _weight_table(spec)
+    # the whole table for this call only, built block by block
+    blocks = _weight_blocks(spec, combinations(range(spec.n), spec.gamma_size))
+    gammas, weights = (np.concatenate(parts) for parts in zip(*blocks))
     hits = 0
     total = 0
     for sup in combinations(range(spec.n), s):
@@ -319,7 +321,7 @@ def _run_custom(p):
     if not p.get("matrix_file"):
         raise InputError("custom experiment requires a matrix_file parameter")
     with open(p["matrix_file"]) as fh:
-        a = parse_real_matrix_text(fh.read()).to_float_array()
+        a = parse_matrix_text(fh.read()).to_float_array()
     rows = []
     for s in p["sparsities"]:
         seed = p["seed"] * 10007 + s

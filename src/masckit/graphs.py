@@ -127,7 +127,7 @@ def _capped(cycles, cap: int):
     for count, cyc in enumerate(cycles, 1):
         if count > cap:
             raise BudgetExceededError(
-                f"more than {cap} simple cycles; use the lazy membership mode"
+                f"more than {cap} simple cycles; raise the cap"
             )
         yield cyc
 

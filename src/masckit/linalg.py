@@ -7,7 +7,6 @@ exact.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,13 +18,11 @@ from .errors import InputError
 
 __all__ = [
     "RealMatrix",
-    "ComplexMatrix",
     "NullspaceBasis",
     "nullspace_basis",
     "float_nullspace_basis",
     "dft_matrix",
     "parse_matrix_text",
-    "parse_real_matrix_text",
     "format_matrix_text",
 ]
 
@@ -66,32 +63,6 @@ class RealMatrix:
 
     def to_float_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float).reshape(self.rows, self.cols)
-
-
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """Dense complex matrix in double precision."""
-
-    rows: int
-    cols: int
-    entries: tuple  # row-major complex
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError("entry count does not match rows x cols")
-        if not all(cmath.isfinite(e) for e in self.entries):
-            raise InputError("non-finite complex entry")
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "ComplexMatrix":
-        a = np.asarray(a, dtype=complex)
-        return cls(a.shape[0], a.shape[1], tuple(complex(x) for x in a.ravel()))
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex).reshape(self.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -179,38 +150,37 @@ def float_nullspace_basis(a: np.ndarray) -> NullspaceBasis:
     )
 
 
-def dft_matrix(n: int) -> ComplexMatrix:
-    """Unitary n x n DFT matrix with entries xi**(k*l) / sqrt(n).
+def dft_matrix(n: int) -> np.ndarray:
+    """Unitary n x n complex DFT matrix with entries xi**(k*l) / sqrt(n).
 
-    Each power of xi = exp(-2*pi*i/n) is evaluated from scratch with
-    cos/sin so phase error stays bounded for large n.
+    Each of the n distinct powers xi**r, xi = exp(-2*pi*i/n), is evaluated
+    from scratch with cos/sin so phase error stays bounded for large n; entry
+    (k, l) reads the power r = k*l mod n.
     """
     if n < 1:
         raise InputError("n must be positive")
     scale = 1.0 / math.sqrt(n)
-    entries = []
-    for k in range(n):
-        for l in range(n):
-            ang = -2.0 * math.pi * ((k * l) % n) / n
-            entries.append(scale * complex(math.cos(ang), math.sin(ang)))
-    return ComplexMatrix(n, n, tuple(entries))
+    roots = []
+    for r in range(n):
+        ang = -2.0 * math.pi * r / n
+        roots.append(scale * complex(math.cos(ang), math.sin(ang)))
+    k = np.arange(n)
+    return np.array(roots)[np.outer(k, k) % n]
 
 
 # ---------------------------------------------------------------------------
-# Matrix text format: first line "rows cols", then row-major entries.
-# Rationals are written p/q, complex numbers a+bi.
+# Matrix text format: first line "rows cols", then row-major real entries,
+# rationals written p/q.
 
 
-def _parse_entry(tok: str):
-    if "/" in tok:
-        return Fraction(tok)
-    if tok.endswith("i") or tok.endswith("j"):
-        return complex(tok.replace("i", "j"))
+def _parse_entry(tok: str) -> Fraction:
+    if tok.endswith(("i", "j")):
+        raise InputError(f"complex entry {tok!r}: give a real matrix")
     return Fraction(tok)
 
 
-def parse_matrix_text(text: str):
-    """Parse the CLI matrix format into a RealMatrix or ComplexMatrix."""
+def parse_matrix_text(text: str) -> RealMatrix:
+    """Parse the CLI matrix format into a RealMatrix."""
     toks = text.split()
     if len(toks) < 2:
         raise InputError("matrix text too short")
@@ -221,27 +191,11 @@ def parse_matrix_text(text: str):
         raise InputError(f"malformed matrix text: {exc}") from exc
     if len(vals) != rows * cols:
         raise InputError("matrix text has wrong number of entries")
-    if any(isinstance(v, complex) for v in vals):
-        return ComplexMatrix(rows, cols, tuple(complex(v) for v in vals))
     return RealMatrix(rows, cols, tuple(vals))
 
 
-def parse_real_matrix_text(text: str) -> RealMatrix:
-    """parse_matrix_text for callers that need real entries (the LP paths)."""
-    m = parse_matrix_text(text)
-    if isinstance(m, ComplexMatrix):
-        raise InputError("complex entries are not supported here: give a real matrix")
-    return m
-
-
-def _format_entry(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:+.17g}{x.imag:+.17g}i"
-    return str(x)
-
-
-def format_matrix_text(m) -> str:
+def format_matrix_text(m: RealMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
     for i in range(m.rows):
-        lines.append(" ".join(_format_entry(x) for x in m.row(i)))
+        lines.append(" ".join(str(x) for x in m.row(i)))
     return "\n".join(lines) + "\n"

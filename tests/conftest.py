@@ -1,6 +1,7 @@
 """Shared fixtures: small worked-example matrices, random graph helpers and
 reference code shared by several test files."""
 
+import math
 import random
 
 import numpy as np
@@ -67,3 +68,17 @@ def dft_root_powers(n: int) -> np.ndarray:
     ks = np.arange(n)
     ang = -2.0 * np.pi * ks / n
     return np.cos(ang) + 1j * np.sin(ang)
+
+
+def dft_matrix_reference(n: int, rows=None) -> np.ndarray:
+    """Rows (default all) of the unitary n x n DFT, each entry
+    xi**(k*l) / sqrt(n) evaluated on its own from the reduced exponent
+    (k*l) mod n with math.cos/math.sin."""
+    rows = range(n) if rows is None else list(rows)
+    scale = 1.0 / math.sqrt(n)
+    out = np.empty((len(rows), n), dtype=complex)
+    for i, k in enumerate(rows):
+        for l in range(n):
+            ang = -2.0 * math.pi * ((k * l) % n) / n
+            out[i, l] = scale * complex(math.cos(ang), math.sin(ang))
+    return out

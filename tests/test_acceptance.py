@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from masckit.dft import (
-    _weight_table,
+    _weights,
     band_spec,
     coherence_lower_bound,
     masc_contains_dft,
@@ -197,7 +197,8 @@ def test_criterion_07_cross_oracle_dft():
                 continue
             p_abs = np.abs(np.array([p.as_float() for p in pts]))
             mass_core = (p_abs @ masks.T).max(axis=0)
-            gammas, weights = _weight_table(spec)
+            gammas = np.array(list(itertools.combinations(range(n), spec.gamma_size)))
+            weights = _weights(spec, gammas)
             mass_dft = np.array(
                 [(weights * m[gammas]).sum(axis=1).max() for m in masks]
             )

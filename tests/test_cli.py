@@ -83,6 +83,10 @@ class TestGraphCommands:
 
     def test_cycle_cap_budget_exit(self, graph_file, capsys):
         assert main(["graph", "cycles", graph_file, "--cap", "1"]) == 3
+        assert "raise the cap" in capsys.readouterr().err
+
+    def test_girth_takes_no_cap(self, graph_file, capsys):
+        assert main(["graph", "girth", graph_file, "--cap", "1"]) == 2
 
     def test_er_deterministic(self, capsys):
         assert main(["graph", "er", "--vertices", "10", "--p", "0.5",
@@ -119,6 +123,10 @@ class TestDftCommands:
 
     def test_nonprime_usage_exit(self, capsys):
         assert main(["dft", "bound", "--n", "9", "--mbar", "2"]) == 2
+
+    @pytest.mark.parametrize("option", ["--seed", "--budget", "--samples"])
+    def test_bound_takes_no_search_options(self, option, capsys):
+        assert main(["dft", "bound", "--n", "19", "--mbar", "7", option, "3"]) == 2
 
 
 class TestUsage:

@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import masckit
 from masckit.errors import BudgetExceededError, InputError
 from masckit.dft import (
     GammaWeights,
     PartialDFTSpec,
+    _block_rows,
     _s_max_rows,
     _weights,
     band_spec,
@@ -24,7 +31,7 @@ from masckit.dft import (
     s_max_sampled,
     symmetrize_omega,
 )
-from conftest import dft_root_powers
+from conftest import dft_matrix_reference, dft_root_powers
 
 
 # reference code: direct evaluations and minors the kernel is checked against
@@ -82,6 +89,20 @@ class TestSymmetrizeOmega:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             symmetrize_omega(7, [])
+
+
+class TestPartialMatrix:
+    @pytest.mark.parametrize(
+        "spec",
+        [band_spec(19, 7), symmetrize_omega(11, [0, 2, 4, 7, 9]),
+         band_spec(61, 15), band_spec(1009, 123)],
+        ids=["band19", "nonband11", "band61", "band1009"],
+    )
+    def test_rows_bitwise_match_reference(self, spec):
+        got = spec.partial_matrix()
+        want = dft_matrix_reference(spec.n, spec.omega.indices)
+        assert got.shape == (spec.m, spec.n)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNullspaceVectorNu:
@@ -295,3 +316,83 @@ class TestSMax:
     def test_exact_budget(self):
         with pytest.raises(BudgetExceededError):
             s_max_exact(band_spec(61, 15), budget=100)
+
+
+def reference_table(spec):
+    """Every candidate support with its kernel weights, computed in chunks
+    of 1000 rows so that block edges differ from the streamed queries'."""
+    gammas = np.array(list(itertools.combinations(range(spec.n), spec.gamma_size)))
+    weights = np.concatenate(
+        [_weights(spec, gammas[lo:lo + 1000]) for lo in range(0, len(gammas), 1000)]
+    )
+    return gammas, weights
+
+
+class TestBlockBoundaries:
+    # 33 649 candidate supports of 18 indices: 42 blocks of 809 rows
+    spec = band_spec(23, 8)
+
+    def test_s_max_exact_is_table_minimum(self):
+        _, weights = reference_table(self.spec)
+        assert len(weights) == 33649 and _block_rows(self.spec) == 809
+        assert s_max_exact(self.spec) == int(_s_max_rows(weights).min())
+
+    def test_verdicts_take_first_argmax(self):
+        gammas, weights = reference_table(self.spec)
+        rng = random.Random(23)
+        seeded = [sorted(rng.sample(range(23), rng.randint(1, 6))) for _ in range(12)]
+        # supports holding many candidates whole: their masses are one up to
+        # rounding, so equal maxima recur in later blocks
+        outs = 0
+        for sup in seeded + [list(range(20)), list(range(23))]:
+            mask = np.zeros(23)
+            mask[sup] = 1.0
+            masses = (weights * mask[gammas]).sum(axis=1)
+            worst = int(np.argmax(masses))
+            v = masc_contains_dft(self.spec, sup)
+            assert v.decided
+            assert v.in_masc == (masses[worst] < 0.5)
+            assert v.margin == 0.5 - float(masses[worst])
+            if not v.in_masc:
+                outs += 1
+                assert v.witness.support.indices == tuple(gammas[worst])
+        assert 2 < outs < 14
+
+
+MEMORY_PROBE = textwrap.dedent("""
+    import json
+    from masckit.dft import band_spec, s_max_exact
+
+    def status():
+        fields = {}
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key in ("VmRSS", "VmHWM"):
+                    fields[key] = int(value.split()[0]) / 1024.0
+        return fields
+
+    spec = band_spec(29, 11)
+    before = status()
+    value = s_max_exact(spec)
+    after = status()
+    print(json.dumps({"value": value, "rss_before": before["VmRSS"],
+                      "hwm_after": after["VmHWM"], "rss_after": after["VmRSS"]}))
+""")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+def test_s_max_exact_memory_is_bounded_and_released():
+    # a fresh process, so no earlier test's allocations blur the figures (MB)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(masckit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    probe = json.loads(out.stdout)
+    assert probe["value"] == 4
+    assert probe["hwm_after"] - probe["rss_before"] < 30
+    assert abs(probe["rss_after"] - probe["rss_before"]) < 10

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dft_root_powers, random_rational_matrix
+from conftest import dft_matrix_reference, dft_root_powers, random_rational_matrix
 from masckit.errors import InputError
 from masckit.linalg import (
-    ComplexMatrix,
     RealMatrix,
     dft_matrix,
     float_nullspace_basis,
@@ -25,16 +24,16 @@ from masckit.linalg import (
 DET_ZERO_TOL = 1e-10
 
 
-def complex_minor_det(m: ComplexMatrix, row_idx, col_idx) -> complex:
+def complex_minor_det(m: np.ndarray, row_idx, col_idx) -> complex:
     """Determinant of the square submatrix m[row_idx, col_idx] (LU via numpy)."""
     if len(row_idx) != len(col_idx):
         raise InputError("row and column selections differ in size")
     k = len(row_idx)
     if k == 0:
         return 1.0 + 0.0j
-    if k > min(m.rows, m.cols):
+    if k > min(m.shape):
         raise InputError("selection larger than matrix")
-    a = m.to_array()[np.ix_(list(row_idx), list(col_idx))]
+    a = np.asarray(m, dtype=complex)[np.ix_(list(row_idx), list(col_idx))]
     return complex(np.linalg.det(a))
 
 
@@ -82,7 +81,7 @@ class TestNullspaceBasis:
 
 class TestComplexMinorDet:
     def test_identity_minor(self):
-        m = ComplexMatrix.from_array(np.eye(4))
+        m = np.eye(4, dtype=complex)
         assert complex_minor_det(m, [0, 2], [0, 2]) == pytest.approx(1.0)
 
     def test_dft2(self):
@@ -101,7 +100,7 @@ class TestComplexMinorDet:
 
     def test_equal_rows_zero(self):
         a = np.array([[1 + 1j, 2], [1 + 1j, 2], [0, 1]])
-        det = complex_minor_det(ComplexMatrix.from_array(a), [0, 1], [0, 1])
+        det = complex_minor_det(a, [0, 1], [0, 1])
         assert abs(det) <= 1e-10 * 2.0**2
 
     def test_size_mismatch(self):
@@ -111,22 +110,29 @@ class TestComplexMinorDet:
 
 class TestDftMatrix:
     def test_n1(self):
-        assert dft_matrix(1).entries == (1 + 0j,)
+        arr = dft_matrix(1)
+        assert arr.dtype == complex and arr.shape == (1, 1) and arr[0, 0] == 1
 
     def test_n2(self):
-        arr = dft_matrix(2).to_array()
+        arr = dft_matrix(2)
         s = 1 / math.sqrt(2)
         assert np.allclose(arr, s * np.array([[1, 1], [1, -1]]), atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 8, 17, 64])
     def test_unitary(self, n):
-        arr = dft_matrix(n).to_array()
+        arr = dft_matrix(n)
         assert np.max(np.abs(arr @ arr.conj().T - np.eye(n))) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 5, 31])
     def test_row_norms(self, n):
-        arr = dft_matrix(n).to_array()
+        arr = dft_matrix(n)
         assert np.allclose(np.linalg.norm(arr, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 61, 1009])
+    def test_bitwise_matches_per_entry_reference(self, n):
+        arr = dft_matrix(n)
+        assert arr.shape == (n, n)
+        assert arr.tobytes() == dft_matrix_reference(n).tobytes()
 
     def test_root_powers(self):
         r = dft_root_powers(4)
@@ -139,10 +145,9 @@ class TestMatrixText:
         again = parse_matrix_text(format_matrix_text(m))
         assert again.entries == m.entries
 
-    def test_parse_complex(self):
-        m = parse_matrix_text("1 2\n1+2i -3-0.5i\n")
-        assert isinstance(m, ComplexMatrix)
-        assert m.entries == (1 + 2j, -3 - 0.5j)
+    def test_complex_token_rejected(self):
+        with pytest.raises(InputError, match="complex"):
+            parse_matrix_text("1 2\n1 -3-0.5i\n")
 
     def test_bad_entry_count(self):
         with pytest.raises(InputError):
