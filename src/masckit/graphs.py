@@ -46,6 +46,8 @@ class DirectedSimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise InputError("vertex count must be >= 0")
         seen = set()
         for tail, head in self.edges:
             if tail == head:
@@ -85,17 +87,14 @@ class SimpleCycle:
         return tuple(i for i, s in enumerate(self.signed_char_vector) if s != 0)
 
 
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-
-
 def incidence_matrix(g: DirectedSimpleGraph) -> RealMatrix:
     """Vertex-by-edge matrix: -1 at each edge's tail, +1 at its head."""
-    m = g.edge_count
-    entries = [_ZERO] * (g.vertex_count * m)
-    for j, (tail, head) in enumerate(g.edges):
-        entries[tail * m + j] = _MINUS_ONE
-        entries[head * m + j] = _ONE
-    return RealMatrix(g.vertex_count, m, tuple(entries))
+    a = np.zeros((g.vertex_count, g.edge_count), dtype=np.int8)
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    cols = np.arange(g.edge_count)
+    a[ends[:, 0], cols] = -1
+    a[ends[:, 1], cols] = 1
+    return RealMatrix(g.vertex_count, g.edge_count, tuple(a.ravel().tolist()))
 
 
 def _cycle_from_nodes(edge_index: dict, m: int, nodes: list[int]) -> SimpleCycle:
@@ -153,32 +152,8 @@ def _cycle_point(cyc: SimpleCycle) -> ExtremePoint:
 
 
 def girth(g: DirectedSimpleGraph) -> float:
-    """Length of the shortest simple cycle; math.inf for forests.
-
-    BFS from every vertex on the underlying undirected graph, O(mn) total.
-    """
-    adj = [[] for _ in range(g.vertex_count)]
-    for tail, head in g.edges:
-        adj[tail].append(head)
-        adj[head].append(tail)
-    best = INF_GIRTH
-    for root in range(g.vertex_count):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif parent[u] != v and dist[v] >= dist[u]:
-                        # non-tree edge closes a walk containing a cycle
-                        best = min(best, dist[u] + dist[v] + 1)
-            queue = nxt
-    return best
+    """Length of the shortest simple cycle; math.inf for forests."""
+    return nx.girth(g.undirected())
 
 
 def w1(g: DirectedSimpleGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[ExtremePoint]:
@@ -231,7 +206,7 @@ def nsc_graph(s: int, g: DirectedSimpleGraph) -> Fraction:
     if s < 1:
         raise InputError("sparsity must be >= 1")
     girth_val = girth(g)
-    if girth_val is INF_GIRTH or girth_val == INF_GIRTH:
+    if girth_val == INF_GIRTH:
         return Fraction(0)
     return min(Fraction(1), Fraction(s, int(girth_val)))
 
@@ -250,12 +225,11 @@ def erdos_renyi(vertices: int, p: float, seed: int) -> DirectedSimpleGraph:
     if not 0.0 <= p <= 1.0:
         raise InputError("edge probability must be in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    edges = []
-    for u in range(vertices):
-        draws = rng.random(vertices - u - 1)
-        for off, r in enumerate(draws):
-            if r < p:
-                edges.append((u, u + 1 + off))
+    # one double per pair, pairs in row-major order: this order fixes the
+    # seeded edge lists
+    tails, heads = np.triu_indices(vertices, 1)
+    keep = rng.random(tails.size) < p
+    edges = zip(tails[keep].tolist(), heads[keep].tolist())
     return DirectedSimpleGraph(vertices, tuple(edges))
 
 

@@ -34,11 +34,11 @@ RANK_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class RealMatrix:
-    """Dense real matrix with exact (Fraction) entries."""
+    """Dense real matrix with exact rationals: int or Fraction entries."""
 
     rows: int
     cols: int
-    entries: tuple  # row-major Fractions
+    entries: tuple  # row-major ints or Fractions
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -103,7 +103,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
+        inv = 1 / Fraction(rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:

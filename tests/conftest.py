@@ -63,6 +63,36 @@ def flow_space_basis(g: DirectedSimpleGraph):
     return nullspace_basis(incidence_matrix(g))
 
 
+def girth_reference(g: DirectedSimpleGraph) -> float:
+    """Length of the shortest simple cycle; math.inf for forests.
+
+    BFS from every vertex on the underlying undirected graph, O(mn) total,
+    with no depth cutoff.
+    """
+    adj = [[] for _ in range(g.vertex_count)]
+    for tail, head in g.edges:
+        adj[tail].append(head)
+        adj[head].append(tail)
+    best = math.inf
+    for root in range(g.vertex_count):
+        dist = {root: 0}
+        parent = {root: -1}
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        nxt.append(v)
+                    elif parent[u] != v and dist[v] >= dist[u]:
+                        # non-tree edge closes a walk containing a cycle
+                        best = min(best, dist[u] + dist[v] + 1)
+            queue = nxt
+    return best
+
+
 def dft_root_powers(n: int) -> np.ndarray:
     """Array of xi**k for k in 0..n-1, each evaluated directly."""
     ks = np.arange(n)

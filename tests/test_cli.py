@@ -166,6 +166,16 @@ class TestBadInputFiles:
         g = self._write(tmp_path, "g.txt", "3 1\n0 1 2\n")
         assert main(["graph", "girth", g]) == 2
 
+    def test_negative_vertex_count_graph_file(self, tmp_path, capsys):
+        g = self._write(tmp_path, "g.txt", "-2 0\n")
+        assert main(["graph", "girth", g]) == 2
+        assert "vertex count" in capsys.readouterr().err
+
+    def test_negative_vertex_count_er(self, capsys):
+        assert main(["graph", "er", "--vertices", "-3", "--p", "0.5",
+                     "--seed", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_complex_matrix_custom_experiment(self, tmp_path, capsys):
         m = self._write(tmp_path, "c.txt", "1 2\n1+0i 1\n")
         cfg = self._write(tmp_path, "cfg.json", json.dumps({

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flow_space_basis, random_connected_graph
+from conftest import flow_space_basis, girth_reference, random_connected_graph
 from masckit.errors import BudgetExceededError, InputError
 from masckit.graphs import (
     DirectedSimpleGraph,
@@ -23,13 +24,38 @@ from masckit.graphs import (
     parse_graph_text,
     w1,
 )
-from masckit.linalg import nullspace_basis
+from masckit.linalg import RealMatrix, nullspace_basis
 from masckit.masc import (
     SupportSet,
     enumerate_extreme_points,
     masc_contains,
     nullspace_constant,
 )
+
+
+# fig4's exponents: p = p_crit**(k/9), p_crit = ln(100)/100, k = 1..10
+FIG4_K = range(1, 11)
+
+# SHA-256 prefixes over seeds 0, 1, 2 of erdos_renyi(100, p_crit**(k/9), seed):
+# k -> (repr of the edge tuples, incidence_matrix(g).to_float_array() bytes).
+# fig4 CSVs and the er-sweep benchmark records depend on these graphs.
+PINNED_ER100 = {
+    1: ("6eba964fca207ba7", "2a4a04a84270c08f"),
+    2: ("34c34ea1f1094d99", "709836e8e4c6c4ac"),
+    3: ("b58b84271690243a", "263f6e7ff3079034"),
+    4: ("62ca68fcbaca3b93", "d65d55d625ecd585"),
+    5: ("ce361fa29c9cf046", "2f2cf3a5d00b2425"),
+    6: ("b61e31c21fb1092d", "800fad0e5197952d"),
+    7: ("488cd235ee26def6", "b51434ec6a7bf07b"),
+    8: ("76c45898656153ac", "f6b2f108dc281279"),
+    9: ("1429aa9768bfb782", "20138bb1b656648b"),
+    10: ("3e44ed23b469ec93", "43af4e6c0323ff17"),
+}
+
+
+def fig4_graphs(k, seeds):
+    p = (math.log(100) / 100) ** (k / 9)
+    return [erdos_renyi(100, p, seed) for seed in seeds]
 
 
 def k4(orient_seed=0):
@@ -45,6 +71,10 @@ class TestGraphConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):
             DirectedSimpleGraph(3, ((0, 0),))
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(InputError):
+            DirectedSimpleGraph(-1, ())
 
     def test_parallel_rejected(self):
         with pytest.raises(InputError):
@@ -65,6 +95,29 @@ class TestIncidenceMatrix:
     def test_single_edge(self):
         m = incidence_matrix(DirectedSimpleGraph(2, ((0, 1),)))
         assert (m[0, 0], m[1, 0]) == (Fraction(-1), Fraction(1))
+
+    def test_chain_graph_equals_from_rows(self, chain_graph):
+        rows = [
+            [-1, 0, -1, 0, 0, 0, 0],
+            [1, -1, 0, 0, 0, 0, 1],
+            [0, 1, 1, -1, 0, 0, 0],
+            [0, 0, 0, 1, -1, 0, 0],
+            [0, 0, 0, 0, 1, -1, 0],
+            [0, 0, 0, 0, 0, 1, -1],
+        ]
+        assert incidence_matrix(chain_graph) == RealMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("k", FIG4_K)
+    def test_pinned_er100_bytes(self, k):
+        h = hashlib.sha256()
+        for g in fig4_graphs(k, range(3)):
+            h.update(incidence_matrix(g).to_float_array().tobytes())
+        assert h.hexdigest()[:16] == PINNED_ER100[k][1]
+
+    @pytest.mark.parametrize("vertices", [0, 1, 2])
+    def test_no_edges_rejected(self, vertices):
+        with pytest.raises(InputError):
+            incidence_matrix(DirectedSimpleGraph(vertices, ()))
 
     def test_char_vectors_in_nullspace(self, chain_graph):
         m = incidence_matrix(chain_graph)
@@ -122,6 +175,12 @@ class TestGirth:
         cycles = enumerate_simple_cycles(g)
         expected = min((c.length for c in cycles), default=math.inf)
         assert girth(g) == expected
+        assert girth_reference(g) == expected
+
+    @pytest.mark.parametrize("k", FIG4_K)
+    def test_matches_reference_on_er100(self, k):
+        for g in fig4_graphs(k, range(5)):
+            assert girth(g) == girth_reference(g)
 
 
 class TestW1:
@@ -266,6 +325,19 @@ class TestErdosRenyi:
 
     def test_deterministic(self):
         assert erdos_renyi(30, 0.2, 5) == erdos_renyi(30, 0.2, 5)
+
+    @pytest.mark.parametrize("k", FIG4_K)
+    def test_pinned_er100_edges(self, k):
+        h = hashlib.sha256()
+        for g in fig4_graphs(k, range(3)):
+            h.update(repr(g.edges).encode())
+        assert h.hexdigest()[:16] == PINNED_ER100[k][0]
+
+    @pytest.mark.parametrize("vertices", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_tiny(self, vertices, p):
+        edges = ((0, 1),) if vertices == 2 and p == 1.0 else ()
+        assert erdos_renyi(vertices, p, 0) == DirectedSimpleGraph(vertices, edges)
 
     def test_mean_edges_near_expectation(self):
         p = math.log(100) / 100

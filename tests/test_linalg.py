@@ -54,6 +54,12 @@ class TestNullspaceBasis:
         v = b.basis_vectors[0]
         assert len({abs(x) for x in v}) == 1  # scalar multiple of signs
 
+    def test_int_entries_stay_exact(self):
+        rows = [[1, 1, 0], [0, 1, 1]]
+        b = nullspace_basis(RealMatrix(2, 3, (1, 1, 0, 0, 1, 1)))
+        assert b == nullspace_basis(RealMatrix.from_rows(rows))
+        assert all(type(x) is Fraction for v in b.basis_vectors for x in v)
+
     def test_identity_trivial(self):
         b = nullspace_basis(RealMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
         assert b.dim == 0 and b.basis_vectors == ()
