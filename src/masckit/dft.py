@@ -149,6 +149,11 @@ def _sin_log_table(n: int) -> np.ndarray:
     return table
 
 
+def _sin_log_strip(n: int) -> np.ndarray:
+    """strip[a - b + n - 1] = table[(a - b) mod n] for a, b in [0, n)."""
+    return _sin_log_table(n)[(np.arange(2 * n - 1) - (n - 1)) % n]
+
+
 def _unit_rows(logs: np.ndarray) -> np.ndarray:
     """Weights from log weights along the last axis, normalized to unit sum."""
     w = np.exp(logs - logs.max(axis=-1, keepdims=True))
@@ -184,8 +189,8 @@ def _weights(spec: PartialDFTSpec, gammas: np.ndarray) -> np.ndarray:
     n = spec.n
     gammas = np.asarray(gammas, dtype=int)
     if spec.mbar is not None:
-        table = _sin_log_table(n)
-        logs = -table[(gammas[:, :, None] - gammas[:, None, :]) % n].sum(axis=2)
+        strip = _sin_log_strip(n)
+        logs = -strip[(gammas[:, :, None] + (n - 1)) - gammas[:, None, :]].sum(axis=2)
         return _unit_rows(logs)
     w = np.abs(_null_vectors(spec.partial_matrix(), gammas))
     return w / w.sum(axis=1, keepdims=True)
@@ -264,8 +269,6 @@ def _all_gammas(spec: PartialDFTSpec, budget: int):
 
 def _sample_gammas(spec: PartialDFTSpec, sample_size: int, seed: int):
     """Distinct uniform size-(|omega|+1) subsets via Floyd's algorithm."""
-    if sample_size < 1:
-        raise InputError("sample_size must be >= 1")
     rng = random.Random(seed)
     n, k = spec.n, spec.gamma_size
     total = math.comb(n, k)
@@ -303,6 +306,8 @@ def masc_contains_dft(
     fabricating a certificate.
     """
     s = SupportSet.of(spec.n, s)
+    if sampled and sample_size < 1:
+        raise InputError("sample_size must be >= 1")
     if spec.gamma_size > spec.n:
         # full row set: trivial nullspace, every support recoverable
         return MembershipVerdict(True, True, 0.5, None)
@@ -368,8 +373,9 @@ def s_max_sampled(spec: PartialDFTSpec, sample_size: int, seed: int) -> int:
     search from the first sampled support (see `_swap_search`) and takes the
     minimum over every support it visits. The search finds structured
     supports that uniform draws out of C(n, |omega|+1) almost never hit. Its
-    work is bounded by sample_size * (n - |omega| - 1) swap evaluations,
-    about what the uniform sample costs.
+    work is bounded by sample_size * (n - |gamma|) swap evaluations of
+    |gamma| weight entries, (n - |gamma|) / |gamma| times the uniform
+    sample's: 0.9x at band(61, 15), 3.1x at band(1009, 123).
 
     Every value comes from a real candidate support, so the result is never
     below `s_max_exact`. Nesting holds: with the same seed a larger sample
@@ -377,6 +383,8 @@ def s_max_sampled(spec: PartialDFTSpec, sample_size: int, seed: int) -> int:
     and extends the same trajectory, so the result never grows. Row sets
     that are not bands use the uniform sample only.
     """
+    if sample_size < 1:
+        raise InputError("sample_size must be >= 1")
     if spec.gamma_size > spec.n:
         return spec.n
     gammas = _sample_gammas(spec, sample_size, seed)
@@ -393,6 +401,9 @@ def _top_mass(logs: np.ndarray, s: int) -> np.ndarray:
     w = np.exp(logs - logs.max(axis=-1, keepdims=True))
     if s == 0:
         return np.zeros(w.shape[:-1])
+    if s == 1:
+        # the heaviest entry of each row is exp(0) = 1.0 exactly
+        return 1.0 / w.sum(axis=-1)
     top = np.partition(w, w.shape[-1] - s, axis=-1)[..., -s:]
     return top.sum(axis=-1) / w.sum(axis=-1)
 
@@ -412,8 +423,7 @@ def _swap_search(spec: PartialDFTSpec, start: tuple[int, ...], evaluations: int)
     n, k = spec.n, spec.gamma_size
     # pair[a, b] = log |xi^a - xi^b|, a read-only view of one 2n-1 strip
     # (row a reads strip[a:a+n] backwards), so no n x n array is built
-    strip = _sin_log_table(n)[(np.arange(2 * n - 1) - (n - 1)) % n]
-    pair = np.lib.stride_tricks.sliding_window_view(strip, n)[:, ::-1]
+    pair = np.lib.stride_tricks.sliding_window_view(_sin_log_strip(n), n)[:, ::-1]
     in_gamma = np.zeros(n, dtype=bool)
     in_gamma[list(start)] = True
     # logs[j]: log weight of j as a member of gamma, the log-sin sum over the

@@ -117,6 +117,19 @@ class TestDftCommands:
                      "--samples", "100", "--seed", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
 
+    # mbar = 3 measures all seven rows, which once skipped the check
+    @pytest.mark.parametrize("mbar", ["2", "3"])
+    def test_mrsl_zero_samples_usage_exit(self, mbar, capsys):
+        assert main(["dft", "mrsl", "--n", "7", "--mbar", mbar,
+                     "--samples", "0", "--seed", "1"]) == 2
+        assert "sample_size must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mbar", ["2", "3"])
+    def test_masc_check_zero_samples_usage_exit(self, mbar, capsys):
+        assert main(["dft", "masc-check", "--n", "7", "--mbar", mbar,
+                     "--support", "1", "--sampled", "--samples", "0"]) == 2
+        assert "sample_size must be >= 1" in capsys.readouterr().err
+
     def test_exact_over_budget_exit(self, capsys):
         assert main(["dft", "mrsl", "--n", "61", "--mbar", "15", "--exact",
                      "--budget", "100"]) == 3

@@ -20,6 +20,9 @@ from masckit.dft import (
     PartialDFTSpec,
     _block_rows,
     _s_max_rows,
+    _sin_log_table,
+    _top_mass,
+    _unit_rows,
     _weights,
     band_spec,
     coherence_lower_bound,
@@ -49,6 +52,27 @@ def f_gamma_poly_eval(spec, gamma, z):
 def f_gamma_eval(spec, gamma, k):
     """Evaluate the gamma root polynomial at the k-th root of unity."""
     return f_gamma_poly_eval(spec, gamma, complex(dft_root_powers(spec.n)[k]))
+
+
+def band_log_weights_reference(spec, gammas):
+    """Band log weights by the modulo formula: minus the sum of
+    table[(g_k - g_u) mod n] over the row, diagonal included."""
+    table = _sin_log_table(spec.n)
+    g = np.asarray(gammas, dtype=int)
+    return -table[(g[:, :, None] - g[:, None, :]) % spec.n].sum(axis=2)
+
+
+def band_weights_reference(spec, gammas):
+    return _unit_rows(band_log_weights_reference(spec, gammas))
+
+
+def top_mass_reference(logs, s):
+    """Share of the s heaviest weights by partition, for every s."""
+    w = np.exp(logs - logs.max(axis=-1, keepdims=True))
+    if s == 0:
+        return np.zeros(w.shape[:-1])
+    top = np.partition(w, w.shape[-1] - s, axis=-1)[..., -s:]
+    return top.sum(axis=-1) / w.sum(axis=-1)
 
 
 def minor_weights(spec, gamma):
@@ -187,6 +211,28 @@ class TestGammaWeights:
                 assert np.max(np.abs(w - gw / gw.sum())) < 1e-12
 
 
+class TestKernelOracles:
+    # the kernels must reproduce the reference formulas bit for bit, so the
+    # values derived from them (s_max, verdicts, margins) cannot move
+    @pytest.mark.parametrize("n, mbar, rows", [(5, 1, 5), (19, 7, 200),
+                                               (61, 15, 100), (1009, 123, 12)])
+    def test_band_weights_and_top_mass_bitwise(self, n, mbar, rows):
+        spec = band_spec(n, mbar)
+        k = spec.gamma_size
+        rng = np.random.default_rng(n)
+        gammas = np.sort(
+            np.array([rng.choice(n, k, replace=False) for _ in range(rows)]), axis=1
+        )
+        reference = band_weights_reference(spec, gammas)
+        assert np.array_equal(_weights(spec, gammas), reference)
+        band_logs = band_log_weights_reference(spec, gammas)
+        # the swap search's (out, in, position) blocks, and rows of equal maxima
+        logs_3d = rng.normal(size=(3, rows, k))
+        for logs in (band_logs, band_logs[0], logs_3d, np.zeros((2, k))):
+            for s in sorted({0, 1, 2, 3, k}):
+                assert np.array_equal(_top_mass(logs, s), top_mass_reference(logs, s))
+
+
 class TestMascContainsDft:
     def test_example_pair_out(self):
         spec = symmetrize_omega(11, [0, 2, 4, 7, 9])
@@ -312,6 +358,35 @@ class TestSMax:
             small = s_max_sampled(spec, small_size, seed)
             large = s_max_sampled(spec, large_size, seed)
             assert large <= small
+
+    # s_max_sampled(band_spec(n, mbar), 200, seed) for mbar = 1, 2, ... while
+    # mbar < (n - 3) / 2; seeds 1 and 2 give the same values
+    PINNED_200 = {
+        19: [1, 1, 1, 1, 2, 2, 3],
+        23: [1, 1, 1, 1, 1, 2, 2, 3, 4],
+        29: [1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 4, 5],
+        31: [1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 4, 6],
+        37: [1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 4, 5, 7],
+        41: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 8],
+        53: [1] * 13 + [2, 2, 2, 2, 3, 3, 4, 4, 5, 7, 10],
+        61: [1] * 15 + [2, 2, 2, 2, 2, 3, 3, 4, 4, 5, 6, 8, 12],
+    }
+    # fig7: n = 61, mbar = 7..29, 1000 samples, seed 42 * 10007 + mbar
+    PINNED_FIG7 = [1] * 9 + [2, 2, 2, 2, 2, 3, 3, 4, 4, 5, 6, 8, 12, 20]
+
+    def test_pinned_sampled_values(self):
+        for n, values in self.PINNED_200.items():
+            assert len(values) == math.ceil((n - 3) / 2) - 1
+            for seed in (1, 2):
+                got = [s_max_sampled(band_spec(n, m), 200, seed)
+                       for m in range(1, len(values) + 1)]
+                assert got == values, (n, seed)
+
+    def test_pinned_fig7_and_n1009(self):
+        got = [s_max_sampled(band_spec(61, m), 1000, 42 * 10007 + m)
+               for m in range(7, 30)]
+        assert got == self.PINNED_FIG7
+        assert s_max_sampled(band_spec(1009, 123), 1000, 1) == 1
 
     def test_exact_budget(self):
         with pytest.raises(BudgetExceededError):
