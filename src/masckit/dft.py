@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InputError, NumericalBoundaryError
 from .linalg import dft_matrix
-from .masc import FLOAT_TIE_BAND, ExtremePoint, MembershipVerdict, SupportSet
+from .masc import ExtremePoint, MembershipVerdict, SupportSet
 
 __all__ = [
     "PartialDFTSpec",
@@ -60,15 +60,13 @@ def _is_prime(n: int) -> bool:
 class PartialDFTSpec:
     """Prime dimension n and conjugate-symmetric measured row set omega.
 
-    `mbar` is set when omega is the contiguous band {0..mbar, n-mbar..n-1},
-    which selects the band weight formula. `raw_omega` records the
-    caller's set before symmetrization.
+    `mbar` is derived from omega: set when omega is the contiguous band
+    {0..mbar, n-mbar..n-1}, which selects the band weight formula, else None.
     """
 
     n: int
     omega: SupportSet
-    mbar: int | None = None
-    raw_omega: SupportSet | None = None
+    mbar: int | None = field(init=False)
 
     def __post_init__(self):
         if not _is_prime(self.n):
@@ -76,8 +74,7 @@ class PartialDFTSpec:
         for k in self.omega.indices:
             if k >= 1 and (self.n - k) not in self.omega:
                 raise InputError("omega is not conjugate symmetric")
-        if self.mbar is not None and self.mbar != _band_mbar(self.n, self.omega):
-            raise InputError("mbar inconsistent with omega")
+        object.__setattr__(self, "mbar", _band_mbar(self.n, self.omega))
 
     @property
     def m(self) -> int:
@@ -118,7 +115,7 @@ def _band_mbar(n: int, omega: SupportSet) -> int | None:
 
 
 def symmetrize_omega(n: int, omega_raw) -> PartialDFTSpec:
-    """Close a row set under conjugation k -> n-k and detect the band shape.
+    """Close a row set under conjugation k -> n-k.
 
     The closure changes nothing for the l1 problem because the unknown
     signal is real.
@@ -130,8 +127,7 @@ def symmetrize_omega(n: int, omega_raw) -> PartialDFTSpec:
         raise InputError("omega must be non-empty")
     closed = set(raw.indices)
     closed |= {n - k for k in raw.indices if k >= 1}
-    omega = SupportSet.of(n, closed)
-    return PartialDFTSpec(n, omega, _band_mbar(n, omega), raw)
+    return PartialDFTSpec(n, SupportSet.of(n, closed))
 
 
 def band_spec(n: int, mbar: int) -> PartialDFTSpec:
@@ -250,9 +246,7 @@ def nullspace_vector_nu(spec: PartialDFTSpec, gamma) -> np.ndarray:
 
 
 def _nu_extreme_point(spec: PartialDFTSpec, gamma: SupportSet) -> ExtremePoint:
-    v = nullspace_vector_nu(spec, gamma)
-    signs = tuple(0 if x == 0 else (1 if x > 0 else -1) for x in v)
-    return ExtremePoint(tuple(float(x) for x in v), gamma, signs, exact=False)
+    return ExtremePoint(tuple(nullspace_vector_nu(spec, gamma).tolist()), gamma)
 
 
 def _all_gammas(spec: PartialDFTSpec, budget: int):
@@ -310,7 +304,7 @@ def masc_contains_dft(
         raise InputError("sample_size must be >= 1")
     if spec.gamma_size > spec.n:
         # full row set: trivial nullspace, every support recoverable
-        return MembershipVerdict(True, True, 0.5, None)
+        return MembershipVerdict.from_mass(0.0)
     if sampled:
         gammas = _sample_gammas(spec, sample_size, seed)
     else:
@@ -324,17 +318,9 @@ def masc_contains_dft(
         at = int(np.argmax(masses))
         if masses[at] > worst_mass:
             worst_mass, worst = float(masses[at]), block[at]
-    boundary = abs(worst_mass - 0.5) <= FLOAT_TIE_BAND
-    margin = 0.5 - worst_mass
-    in_masc = worst_mass < 0.5
-    witness = None
-    if not in_masc or boundary:
-        witness = _nu_extreme_point(spec, SupportSet.of(spec.n, worst))
-    if boundary:
-        return MembershipVerdict(False, False, margin, witness)
-    if sampled and in_masc:
-        return MembershipVerdict(False, True, margin, None)
-    return MembershipVerdict(True, in_masc, margin, witness)
+    return MembershipVerdict.from_mass(
+        worst_mass, lambda: _nu_extreme_point(spec, SupportSet.of(spec.n, worst)), sampled
+    )
 
 
 def coherence_lower_bound(spec: PartialDFTSpec):

@@ -111,6 +111,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown experiment kind {self.kind!r}")
+        if not isinstance(self.parameters, dict):
+            raise InputError("experiment parameters must be a JSON object")
         merged = dict(DEFAULTS[self.kind])
         merged.update(self.parameters)
         object.__setattr__(self, "parameters", merged)
@@ -118,6 +120,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str, fast: bool = False) -> "ExperimentConfig":
         d = json.loads(text)
+        if not isinstance(d, dict) or "kind" not in d:
+            raise InputError('experiment config must be a JSON object with a "kind"')
         cfg = cls(
             kind=d["kind"],
             parameters=d.get("parameters", {}),

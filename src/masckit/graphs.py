@@ -9,7 +9,7 @@ nullspace constant collapses to min(1, s/girth).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import networkx as nx
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InputError
 from .linalg import RealMatrix
-from .masc import ExtremePoint, MembershipVerdict, SupportSet
+from .masc import HALF, ExtremePoint, MembershipVerdict, SupportSet
 
 __all__ = [
     "DirectedSimpleGraph",
@@ -73,18 +73,18 @@ class DirectedSimpleGraph:
 
 @dataclass(frozen=True)
 class SimpleCycle:
-    """A simple cycle with its signed edge-characteristic vector."""
+    """A simple cycle by its signed edge-characteristic vector."""
 
-    vertices: tuple[int, ...]  # closed: first vertex repeated at the end
     signed_char_vector: tuple[int, ...]
+    edge_indices: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        edges = tuple(i for i, s in enumerate(self.signed_char_vector) if s != 0)
+        object.__setattr__(self, "edge_indices", edges)
 
     @property
     def length(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def edge_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.signed_char_vector) if s != 0)
+        return len(self.edge_indices)
 
 
 def incidence_matrix(g: DirectedSimpleGraph) -> RealMatrix:
@@ -98,17 +98,15 @@ def incidence_matrix(g: DirectedSimpleGraph) -> RealMatrix:
 
 
 def _cycle_from_nodes(edge_index: dict, m: int, nodes: list[int]) -> SimpleCycle:
-    closed = list(nodes) + [nodes[0]]
     char = [0] * m
-    for u, v in zip(closed, closed[1:]):
+    for u, v in zip(nodes, nodes[1:] + nodes[:1]):
         idx, sign = edge_index[(u, v)]
         char[idx] = sign
     # canonical orientation: lowest-indexed edge traversed forward
     first = next(i for i, s in enumerate(char) if s != 0)
     if char[first] < 0:
         char = [-s for s in char]
-        closed = closed[::-1]
-    return SimpleCycle(tuple(closed), tuple(char))
+    return SimpleCycle(tuple(char))
 
 
 def iter_simple_cycles(g: DirectedSimpleGraph):
@@ -147,8 +145,7 @@ def enumerate_simple_cycles(
 def _cycle_point(cyc: SimpleCycle) -> ExtremePoint:
     """The cycle's signed characteristic vector, l1-normalized."""
     vec = tuple(Fraction(s, cyc.length) for s in cyc.signed_char_vector)
-    support = SupportSet(len(vec), cyc.edge_indices)
-    return ExtremePoint(vec, support, cyc.signed_char_vector, exact=True)
+    return ExtremePoint(vec, SupportSet(len(vec), cyc.edge_indices))
 
 
 def girth(g: DirectedSimpleGraph) -> float:
@@ -174,31 +171,27 @@ def masc_contains_graph(
     """Exact integer-arithmetic membership check over edge supports.
 
     A support is in the family iff 2 * |S intersect cycle| < cycle length for
-    every simple cycle. Both modes stream the cycles. Lazy mode stops at the
-    first violation; exhaustive mode reports the smallest margin, its witness
-    the shortest, then lexicographically first, cycle attaining it, and
-    raises past cap cycles.
+    every simple cycle. Both modes stream the cycles and raise past cap
+    cycles. Lazy mode stops at the first violation, its witness; otherwise
+    the margin is the smallest over every cycle and an "out" verdict's
+    witness is the shortest, then lexicographically first, cycle attaining
+    it.
     """
     if s.ambient_dim != g.edge_count:
         raise InputError("support must index the graph's edges")
     sset = set(s.indices)
-    half = Fraction(1, 2)
-    cycles = iter_simple_cycles(g) if lazy else _capped(iter_simple_cycles(g), cap)
-    worst = None  # (margin, length, edge indices) of the worst cycle so far
+    worst = None  # (-mass, length, edge indices) of the worst cycle so far
     witness = None
-    for cyc in cycles:
+    for cyc in _capped(iter_simple_cycles(g), cap):
         edges = cyc.edge_indices
-        margin = half - Fraction(sum(1 for i in edges if i in sset), cyc.length)
-        key = (margin, cyc.length, edges)
+        mass = Fraction(sum(1 for i in edges if i in sset), len(edges))
+        key = (-mass, len(edges), edges)
         if worst is None or key < worst:
             worst, witness = key, cyc
-            if lazy and margin <= 0:
+            if lazy and mass >= HALF:
                 break
-    if worst is None or worst[0] > 0:
-        # lazy mode stops short of the smallest margin and reports 1/2
-        margin = half if lazy or worst is None else worst[0]
-        return MembershipVerdict(True, True, margin, None)
-    return MembershipVerdict(True, False, worst[0], _cycle_point(witness))
+    mass = 0 if worst is None else -worst[0]
+    return MembershipVerdict.from_mass(mass, lambda: _cycle_point(witness))
 
 
 def nsc_graph(s: int, g: DirectedSimpleGraph) -> Fraction:

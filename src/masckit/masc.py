@@ -81,15 +81,23 @@ class SupportSet:
 
 @dataclass(frozen=True)
 class ExtremePoint:
-    """An l1-normalized minimal-support nullspace vector."""
+    """An l1-normalized minimal-support nullspace vector: exact when its
+    entries are Fractions, float otherwise."""
 
     vector: tuple
     support: SupportSet
-    sign_vector: tuple[int, ...]
-    exact: bool = True
+
+    @property
+    def sign_vector(self) -> tuple[int, ...]:
+        return tuple((x > 0) - (x < 0) for x in self.vector)
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.vector[0], Fraction)
 
     def l1_mass_on(self, indices) -> Fraction | float:
-        return sum(abs(self.vector[i]) for i in indices)
+        # a float point's mass stays a float on an empty set
+        return sum((abs(self.vector[i]) for i in indices), 0 if self.exact else 0.0)
 
     def as_float(self) -> np.ndarray:
         return np.array([float(x) for x in self.vector])
@@ -101,7 +109,6 @@ class SimplicialComplexSummary:
 
     ambient_dim: int
     maximal_faces: tuple[SupportSet, ...]
-    contains_empty_only: bool
 
     def __post_init__(self):
         sets = [frozenset(f.indices) for f in self.maximal_faces]
@@ -109,6 +116,10 @@ class SimplicialComplexSummary:
             for j, b in enumerate(sets):
                 if i != j and a <= b:
                     raise InputError("maximal faces must be pairwise incomparable")
+
+    @property
+    def contains_empty_only(self) -> bool:
+        return all(len(f) == 0 for f in self.maximal_faces)
 
     def member(self, s: SupportSet) -> bool:
         need = set(s.indices)
@@ -132,21 +143,25 @@ class MembershipVerdict:
     margin: Fraction | float
     witness: ExtremePoint | None = None
 
-    def to_json(self) -> str:
-        wit = None
-        if self.witness is not None:
-            if self.witness.exact:
-                wit = [str(x) for x in self.witness.vector]
-            else:
-                wit = [repr(float(x)) for x in self.witness.vector]
-        return json.dumps(
-            {
-                "decided": self.decided,
-                "in_masc": self.in_masc,
-                "margin": str(self.margin) if self.decided else None,
-                "witness": wit,
-            }
-        )
+    @classmethod
+    def from_mass(cls, mass, witness=None, sampled: bool = False) -> "MembershipVerdict":
+        """The one verdict rule: S is in the family iff the largest l1 mass
+        an extreme point keeps on S is below one half.
+
+        An exact mass (int or Fraction) decides, with margin 1/2 - mass. A
+        float mass within FLOAT_TIE_BAND of 1/2 is a boundary: undecided and
+        not in. A sampled sweep that finds S inside leaves it undecided.
+        `witness` builds the extreme point of that mass; it is called only
+        for "out" and boundary verdicts, the ones that carry it.
+        """
+        if isinstance(mass, float):
+            margin = 0.5 - mass
+            boundary = abs(margin) <= FLOAT_TIE_BAND
+        else:
+            margin, boundary = HALF - mass, False
+        inside = margin > 0 and not boundary
+        decided = not boundary and not (sampled and inside)
+        return cls(decided, inside, margin, None if inside else witness())
 
 
 def _scan_budget(n: int, max_size: int) -> int:
@@ -207,21 +222,10 @@ def enumerate_extreme_points(
             z = [zero] * n
             for i, x in zip(gamma, v):
                 z[i] = x / scale
-            vec = tuple(z)
-            signs = tuple(0 if x == 0 else (1 if x > 0 else -1) for x in vec)
-            found.append(ExtremePoint(vec, SupportSet(n, gamma), signs, exact=basis.exact))
+            found.append(ExtremePoint(tuple(z), SupportSet(n, gamma)))
             found_supports.append(gset)
     if include_antipodes:
-        mirrored = [
-            ExtremePoint(
-                tuple(-x for x in p.vector),
-                p.support,
-                tuple(-s for s in p.sign_vector),
-                exact=p.exact,
-            )
-            for p in found
-        ]
-        found = found + mirrored
+        found = found + [ExtremePoint(tuple(-x for x in p.vector), p.support) for p in found]
     return found
 
 
@@ -242,24 +246,10 @@ def masc_contains(
     if pts is None:
         pts = enumerate_extreme_points(basis, budget=budget)
     if not pts:
-        return MembershipVerdict(True, True, HALF, None)
-    exact = pts[0].exact
-    worst = None
-    worst_mass = None
-    for p in pts:
-        mass = p.l1_mass_on(s.indices)
-        if worst_mass is None or mass > worst_mass:
-            worst_mass = mass
-            worst = p
-    if exact:
-        inside = worst_mass < HALF
-        return MembershipVerdict(
-            True, inside, HALF - worst_mass, None if inside else worst
-        )
-    if abs(worst_mass - 0.5) <= FLOAT_TIE_BAND:
-        return MembershipVerdict(False, False, 0.5 - worst_mass, worst)
-    inside = worst_mass < 0.5
-    return MembershipVerdict(True, inside, 0.5 - worst_mass, None if inside else worst)
+        return MembershipVerdict.from_mass(0)
+    # the first point of largest mass
+    worst = max(pts, key=lambda p: p.l1_mass_on(s.indices))
+    return MembershipVerdict.from_mass(worst.l1_mass_on(s.indices), lambda: worst)
 
 
 def nullspace_constant(
@@ -308,7 +298,7 @@ def masc_enumerate(
         max_card = n
     if basis.dim == 0:
         full = SupportSet.of(n, range(n))
-        return SimplicialComplexSummary(n, (full,), contains_empty_only=False)
+        return SimplicialComplexSummary(n, (full,))
     pts = enumerate_extreme_points(basis, budget=budget)
     levels: list[list[frozenset]] = [[frozenset()]]
     for k in range(1, max_card + 1):
@@ -335,8 +325,7 @@ def masc_enumerate(
             if not any(face < up for up in above):
                 maximal.append(face)
     faces = tuple(SupportSet.of(n, f) for f in sorted(maximal, key=sorted))
-    empty_only = all(len(f) == 0 for f in faces)
-    return SimplicialComplexSummary(n, faces, empty_only)
+    return SimplicialComplexSummary(n, faces)
 
 
 def recoverable_fraction(

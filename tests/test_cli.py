@@ -85,6 +85,16 @@ class TestGraphCommands:
         assert main(["graph", "cycles", graph_file, "--cap", "1"]) == 3
         assert "raise the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lazy", [[], ["--lazy"]], ids=["exhaustive", "lazy"])
+    def test_masc_check_cap_budget_exit(self, tmp_path, lazy, capsys):
+        # K6 has far more than 5 simple cycles and a single edge is inside
+        edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        g = tmp_path / "k6.txt"
+        g.write_text(f"6 {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+        assert main(["graph", "masc-check", str(g), "--support", "0",
+                     "--cap", "5", *lazy]) == 3
+        assert "raise the cap" in capsys.readouterr().err
+
     def test_girth_takes_no_cap(self, graph_file, capsys):
         assert main(["graph", "girth", graph_file, "--cap", "1"]) == 2
 
@@ -218,3 +228,14 @@ class TestExperimentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["experiment", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"parameters": {}},
+        ["custom"],
+        {"kind": "custom", "parameters": [1]},
+    ], ids=["no-kind", "not-an-object", "parameters-not-an-object"])
+    def test_malformed_config_usage(self, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -92,14 +92,16 @@ class TestSymmetrizeOmega:
     def test_closure(self):
         spec = symmetrize_omega(7, [1])
         assert spec.omega.indices == (1, 6)
-        assert spec.raw_omega.indices == (1,)
 
     def test_band_detection(self):
         spec = symmetrize_omega(19, list(range(8)) + list(range(12, 19)))
         assert spec.mbar == 7 and spec.m == 15
         assert band_spec(19, 7) == spec
-        with pytest.raises(InputError):
-            PartialDFTSpec(19, spec.omega, 6)
+        # mbar is read off omega, so a spec built from the band's rows is the
+        # band spec, with its kernel and its coherence bound
+        direct = PartialDFTSpec(19, band_spec(19, 7).omega)
+        assert direct == band_spec(19, 7) and direct.mbar == 7
+        assert coherence_lower_bound(direct) == (Fraction(19, 8), 2)
 
     def test_band_needs_room(self):
         # mbar shape with |omega| > n-2 is not eligible for the band tests

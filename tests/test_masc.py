@@ -44,7 +44,7 @@ def summary_from_json(text: str) -> SimplicialComplexSummary:
     """Reference inverse of SimplicialComplexSummary.to_json."""
     d = json.loads(text)
     faces = tuple(SupportSet.of(d["n"], f) for f in d["maximal_faces"])
-    return SimplicialComplexSummary(d["n"], faces, all(len(f) == 0 for f in faces))
+    return SimplicialComplexSummary(d["n"], faces)
 
 
 def basis_of(rows):
@@ -191,13 +191,6 @@ class TestMascContains:
             if not masc_contains(b, SupportSet.of(n, sup), pts=pts).in_masc:
                 bigger = SupportSet.of(n, set(sup) | {rng.randrange(n)})
                 assert not masc_contains(b, bigger, pts=pts).in_masc
-
-    def test_json_serialization(self):
-        b = basis_of([[1, -1, 1]])
-        v = masc_contains(b, SupportSet.of(3, [0]))
-        d = json.loads(v.to_json())
-        assert d["decided"] and not d["in_masc"]
-        assert all("/" in w or w in ("0", "1") for w in d["witness"])
 
 
 class TestNullspaceConstant:
