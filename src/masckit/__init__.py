@@ -7,15 +7,11 @@ tests).
 """
 
 from .dft import (
-    GammaWeights,
     PartialDFTSpec,
     band_spec,
     coherence_lower_bound,
-    gamma_weights,
     masc_contains_dft,
-    nullspace_vector_nu,
     s_max_exact,
-    s_max_gamma,
     s_max_sampled,
     symmetrize_omega,
 )
@@ -26,7 +22,7 @@ from .errors import (
     NumericalBoundaryError,
     SolverError,
 )
-from .experiments import ExperimentConfig, emit_plot, run_experiment
+from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
     DirectedSimpleGraph,
     SimpleCycle,
@@ -35,7 +31,6 @@ from .graphs import (
     girth,
     incidence_matrix,
     masc_contains_graph,
-    max_uniform_sparsity,
     nsc_graph,
     w1,
 )

@@ -25,14 +25,10 @@ from .masc import ExtremePoint, MembershipVerdict, SupportSet
 
 __all__ = [
     "PartialDFTSpec",
-    "GammaWeights",
     "symmetrize_omega",
     "band_spec",
-    "nullspace_vector_nu",
-    "gamma_weights",
     "masc_contains_dft",
     "coherence_lower_bound",
-    "s_max_gamma",
     "s_max_exact",
     "s_max_sampled",
 ]
@@ -87,20 +83,6 @@ class PartialDFTSpec:
     def partial_matrix(self) -> np.ndarray:
         """The |omega| x n complex measurement matrix."""
         return dft_matrix(self.n)[list(self.omega.indices), :]
-
-
-@dataclass(frozen=True)
-class GammaWeights:
-    """Comparison weights for one candidate support, up to a positive factor."""
-
-    gamma: SupportSet
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.gamma):
-            raise InputError("one weight per gamma index required")
-        if any(not (w > 0) or not math.isfinite(w) for w in self.weights):
-            raise InputError("weights must be strictly positive and finite")
 
 
 def _band_mbar(n: int, omega: SupportSet) -> int | None:
@@ -210,43 +192,24 @@ def _s_max_rows(weights: np.ndarray) -> np.ndarray:
     return (prefix < 0.5).sum(axis=1)
 
 
-def _checked_gamma(spec: PartialDFTSpec, gamma) -> SupportSet:
-    gamma = SupportSet.of(spec.n, gamma)
-    if len(gamma) != spec.gamma_size:
-        raise InputError("gamma must have |omega|+1 indices")
-    return gamma
-
-
-def gamma_weights(spec: PartialDFTSpec, gamma) -> GammaWeights:
-    """Strictly positive comparison weights for one candidate support,
-    normalized to unit maximum."""
-    gamma = _checked_gamma(spec, gamma)
-    w = _weights(spec, np.array([gamma.indices]))[0]
-    return GammaWeights(gamma, tuple(float(x) for x in w / w.max()))
-
-
-def nullspace_vector_nu(spec: PartialDFTSpec, gamma) -> np.ndarray:
-    """Real spanning vector of the nullspace restricted to gamma, embedded
-    into R^n on gamma and l1-normalized, with a positive first entry.
+def _nu_extreme_point(spec: PartialDFTSpec, gamma: np.ndarray) -> ExtremePoint:
+    """The extreme point on candidate support gamma (an index array): the
+    real spanning vector of the nullspace restricted to gamma, embedded into
+    R^n on gamma and l1-normalized, with a positive first entry.
 
     The restricted nullspace is closed under conjugation and one-dimensional,
     so the complex null vector is real up to a phase: rotating it by the
     phase of its largest entry makes it real.
     """
-    gamma = _checked_gamma(spec, gamma)
-    nu = _null_vectors(spec.partial_matrix(), np.array([gamma.indices]))[0]
+    nu = _null_vectors(spec.partial_matrix(), gamma[None])[0]
     top = nu[np.argmax(np.abs(nu))]
     nu = nu * (abs(top) / top)
     if np.max(np.abs(nu.imag)) > 1e-6 * abs(top):
         raise NumericalBoundaryError("degenerate realification")
     v = nu.real * np.sign(nu.real[0])
     out = np.zeros(spec.n)
-    out[list(gamma.indices)] = v / np.sum(np.abs(v))
-    return out
-
-
-def _nu_extreme_point(spec: PartialDFTSpec, gamma: SupportSet) -> ExtremePoint:
-    return ExtremePoint(tuple(nullspace_vector_nu(spec, gamma).tolist()), gamma)
+    out[gamma] = v / np.sum(np.abs(v))
+    return ExtremePoint(tuple(out.tolist()), SupportSet.of(spec.n, gamma))
 
 
 def _all_gammas(spec: PartialDFTSpec, budget: int):
@@ -319,7 +282,7 @@ def masc_contains_dft(
         if masses[at] > worst_mass:
             worst_mass, worst = float(masses[at]), block[at]
     return MembershipVerdict.from_mass(
-        worst_mass, lambda: _nu_extreme_point(spec, SupportSet.of(spec.n, worst)), sampled
+        worst_mass, lambda: _nu_extreme_point(spec, worst), sampled
     )
 
 
@@ -334,13 +297,6 @@ def coherence_lower_bound(spec: PartialDFTSpec):
     bound = Fraction(spec.n, 2 * (spec.n - spec.m))
     s_guaranteed = math.ceil(bound) - 1
     return bound, s_guaranteed
-
-
-def s_max_gamma(spec: PartialDFTSpec, gamma) -> int:
-    """Largest t whose t heaviest weights still sum to strictly less than
-    half of the total weight on gamma."""
-    gamma = _checked_gamma(spec, gamma)
-    return int(_s_max_rows(_weights(spec, np.array([gamma.indices])))[0])
 
 
 def s_max_exact(spec: PartialDFTSpec, budget: int = DEFAULT_GAMMA_BUDGET) -> int:

@@ -16,17 +16,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .dft import band_spec, coherence_lower_bound, s_max_sampled
-from .errors import BudgetExceededError, InputError
+from .dft import _weight_blocks, band_spec, coherence_lower_bound, s_max_sampled
+from .errors import InputError
 from .graphs import DirectedSimpleGraph, erdos_renyi, incidence_matrix
 from .linalg import parse_matrix_text
+from .masc import MembershipVerdict
 from .recovery import TrialConfig, mrsl_naive, realify, recovery_rate
 
-__all__ = ["ExperimentConfig", "run_experiment", "emit_plot"]
+__all__ = ["ExperimentConfig", "run_experiment"]
 
 KINDS = (
     "fig3-cycles",
@@ -64,7 +66,6 @@ DEFAULTS = {
         "omega_sizes": [247 + 20 * j for j in range(14)],
         "sample_size": 1000,
         "seed": 42,
-        "mode": "sampled",
     },
     "fig7-mrsl-small": {
         "n": 61,
@@ -101,7 +102,11 @@ FAST_OVERRIDES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run: a kind, its parameter map, and output paths."""
+    """One experiment run: a kind, its parameter map, and output paths.
+
+    The parameters are the kind's DEFAULTS updated by the given keys, each of
+    which must be a key of DEFAULTS.
+    """
 
     kind: str
     parameters: dict = field(default_factory=dict)
@@ -113,8 +118,15 @@ class ExperimentConfig:
             raise InputError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.parameters, dict):
             raise InputError("experiment parameters must be a JSON object")
-        merged = dict(DEFAULTS[self.kind])
-        merged.update(self.parameters)
+        unknown = [str(k) for k in self.parameters if k not in DEFAULTS[self.kind]]
+        if unknown:
+            raise InputError(f"unknown {self.kind} parameters: {', '.join(unknown)}")
+        # an int path would reach open() as a file descriptor
+        if not isinstance(self.output_csv, str):
+            raise InputError("output_csv must be a string")
+        if not isinstance(self.output_svg, (str, type(None))):
+            raise InputError("output_svg must be a string or null")
+        merged = {**DEFAULTS[self.kind], **self.parameters}
         object.__setattr__(self, "parameters", merged)
 
     @classmethod
@@ -122,19 +134,16 @@ class ExperimentConfig:
         d = json.loads(text)
         if not isinstance(d, dict) or "kind" not in d:
             raise InputError('experiment config must be a JSON object with a "kind"')
-        cfg = cls(
+        params = d.get("parameters", {})
+        if fast and d["kind"] in KINDS and isinstance(params, dict):
+            # the user's keys win over the fast preset, which wins over DEFAULTS
+            params = {**FAST_OVERRIDES[d["kind"]], **params}
+        return cls(
             kind=d["kind"],
-            parameters=d.get("parameters", {}),
+            parameters=params,
             output_csv=d.get("output_csv", "experiment.csv"),
             output_svg=d.get("output_svg"),
         )
-        if fast:
-            params = dict(cfg.parameters)
-            params.update(FAST_OVERRIDES[cfg.kind])
-            # user-specified values still win over the fast preset
-            params.update(d.get("parameters", {}))
-            cfg = replace(cfg, parameters=params)
-        return cfg
 
     def digest(self) -> str:
         payload = json.dumps(
@@ -217,11 +226,8 @@ def _run_fig4(p):
 
 
 def _dft_masc_fraction(spec, s: int) -> float:
-    """Exact fraction of size-s supports certified always-recoverable."""
-    from itertools import combinations
-
-    from .dft import _weight_blocks
-
+    """Exact fraction of size-s supports certified always-recoverable, each
+    decided by the verdict rule that `masc_contains_dft` applies."""
     # the whole table for this call only, built block by block
     blocks = _weight_blocks(spec, combinations(range(spec.n), spec.gamma_size))
     gammas, weights = (np.concatenate(parts) for parts in zip(*blocks))
@@ -231,7 +237,8 @@ def _dft_masc_fraction(spec, s: int) -> float:
         mask = np.zeros(spec.n)
         mask[list(sup)] = 1.0
         worst = float((weights * mask[gammas]).sum(axis=1).max())
-        hits += worst < 0.5
+        # only the verdict is counted, so no witness is built
+        hits += MembershipVerdict.from_mass(worst, lambda: None).in_masc
         total += 1
     return hits / total
 
@@ -261,11 +268,6 @@ def _run_fig5(p):
 
 
 def _run_fig6(p):
-    if p.get("mode") == "exact":
-        raise BudgetExceededError(
-            "exact MRSL enumeration is infeasible at this scale; "
-            "use sampled mode"
-        )
     n = p["n"]
     rows = []
     for size in p["omega_sizes"]:
@@ -358,82 +360,32 @@ def _fmt(v) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Execute the configured sweep, write its CSV, return a summary."""
+    """Execute the configured sweep, write its CSV, and draw its SVG, if
+    one is asked for, from the same formatted cells; return a summary."""
     header, rows = _RUNNERS[cfg.kind](cfg.parameters)
+    cells = [[_fmt(row[h]) for h in header] for row in rows]
     lines = [
         f"# kind: {cfg.kind}",
         f"# config-hash: {cfg.digest()}",
         ",".join(header),
     ]
-    for row in rows:
-        lines.append(",".join(_fmt(row[h]) for h in header))
+    lines += [",".join(c) for c in cells]
     with open(cfg.output_csv, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     summary = {"kind": cfg.kind, "rows": len(rows), "csv": cfg.output_csv}
     if cfg.output_svg is not None:
-        emit_plot(cfg.output_csv, _default_plot_spec(cfg.kind), cfg.output_svg)
+        _emit_plot(cfg.kind, [dict(zip(header, c)) for c in cells], cfg.output_svg)
         summary["svg"] = cfg.output_svg
     return summary
 
 
-def _default_plot_spec(kind: str) -> dict:
-    if kind == "fig4-erdos-renyi":
-        return {
-            "type": "heatmap",
-            "x": "p_exponent",
-            "y": "sparsity",
-            "value": "rate",
-            "title": "recovery rate over Erdos-Renyi graphs",
-        }
-    if kind in ("fig6-mrsl-large", "fig7-mrsl-small"):
-        return {
-            "type": "line",
-            "x": "omega_size",
-            "y": ["s_guaranteed", "s_max_sampled"]
-            + (["mrsl_naive"] if kind == "fig7-mrsl-small" else []),
-            "title": "sparsity bounds versus measurement count",
-        }
-    if kind == "fig5-dft-recovery":
-        return {
-            "type": "line",
-            "x": "sparsity",
-            "y": ["rate", "masc_fraction"],
-            "title": "recovery rate and certified support fraction",
-        }
-    return {"type": "line", "x": "sparsity", "y": ["rate"], "title": "recovery rate"}
-
-
-def _read_csv(path: str):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    data_lines = [ln for ln in lines if not ln.startswith("#")]
-    if not data_lines:
-        raise InputError("CSV has no data rows")
-    header = data_lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in data_lines[1:]]
+def _emit_plot(kind: str, rows: list[dict], svg_path: str) -> None:
+    """Render the rows of a kind's CSV, as strings by column, as a standalone
+    SVG line plot or heatmap. Hand-emitted markup, byte-deterministic."""
     if not rows:
         raise InputError("CSV has no data rows")
-    return header, rows
-
-
-def emit_plot(csv_path: str, plot_spec: dict, svg_path: str) -> None:
-    """Render a CSV as a standalone SVG line plot or heatmap.
-
-    Hand-emitted markup, byte-deterministic given the inputs.
-    """
-    header, rows = _read_csv(csv_path)
-    kind = plot_spec.get("type", "line")
-    needed = [plot_spec["x"]]
-    needed += plot_spec["y"] if kind == "line" else [plot_spec["y"], plot_spec["value"]]
-    missing = [c for c in needed if c not in header]
-    if missing:
-        raise InputError(f"CSV is missing columns: {', '.join(missing)}")
-    if kind == "line":
-        svg = _line_svg(rows, plot_spec)
-    elif kind == "heatmap":
-        svg = _heatmap_svg(rows, plot_spec)
-    else:
-        raise InputError(f"unknown plot type {kind!r}")
+    draw, *args = _PLOTS[kind]
+    svg = draw(rows, *args)
     with open(svg_path, "w") as fh:
         fh.write(svg)
 
@@ -478,13 +430,12 @@ def _axes(parts, xlabel, ylabel):
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def _line_svg(rows, spec) -> str:
-    xcol, ycols = spec["x"], spec["y"]
+def _line_svg(rows, xcol, ycols, title) -> str:
     xs = [float(r[xcol]) for r in rows]
     all_y = [float(r[c]) for r in rows for c in ycols]
     sx = _scale(xs, _PAD, _W - _PAD)
     sy = _scale(all_y, _H - _PAD, _PAD)
-    parts = _svg_open(spec.get("title", ""))
+    parts = _svg_open(title)
     _axes(parts, xcol, " / ".join(ycols))
     for ci, col in enumerate(ycols):
         pts = sorted(zip(xs, (float(r[col]) for r in rows)))
@@ -499,8 +450,7 @@ def _line_svg(rows, spec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _heatmap_svg(rows, spec) -> str:
-    xcol, ycol, vcol = spec["x"], spec["y"], spec["value"]
+def _heatmap_svg(rows, xcol, ycol, vcol, title) -> str:
     xs = sorted({float(r[xcol]) for r in rows})
     ys = sorted({float(r[ycol]) for r in rows})
     # mean over rows sharing a cell (e.g. multiple graph seeds)
@@ -509,7 +459,7 @@ def _heatmap_svg(rows, spec) -> str:
         acc.setdefault((float(r[xcol]), float(r[ycol])), []).append(float(r[vcol]))
     cw = (_W - 2 * _PAD) / len(xs)
     ch = (_H - 2 * _PAD) / len(ys)
-    parts = _svg_open(spec.get("title", ""))
+    parts = _svg_open(title)
     _axes(parts, xcol, ycol)
     for (x, y), vals in sorted(acc.items()):
         v = sum(vals) / len(vals)
@@ -522,3 +472,24 @@ def _heatmap_svg(rows, spec) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+_BOUNDS = "sparsity bounds versus measurement count"
+
+# kind -> drawing function and its columns and title
+_PLOTS = {
+    "fig3-cycles": (_line_svg, "sparsity", ["rate"], "recovery rate"),
+    "fig4-erdos-renyi": (
+        _heatmap_svg, "p_exponent", "sparsity", "rate",
+        "recovery rate over Erdos-Renyi graphs",
+    ),
+    "fig5-dft-recovery": (
+        _line_svg, "sparsity", ["rate", "masc_fraction"],
+        "recovery rate and certified support fraction",
+    ),
+    "fig6-mrsl-large": (_line_svg, "omega_size", ["s_guaranteed", "s_max_sampled"], _BOUNDS),
+    "fig7-mrsl-small": (
+        _line_svg, "omega_size", ["s_guaranteed", "s_max_sampled", "mrsl_naive"], _BOUNDS
+    ),
+    "custom": (_line_svg, "sparsity", ["rate"], "recovery rate"),
+}

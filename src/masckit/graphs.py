@@ -28,7 +28,6 @@ __all__ = [
     "w1",
     "masc_contains_graph",
     "nsc_graph",
-    "max_uniform_sparsity",
     "erdos_renyi",
     "parse_graph_text",
     "format_graph_text",
@@ -153,13 +152,13 @@ def girth(g: DirectedSimpleGraph) -> float:
     return nx.girth(g.undirected())
 
 
-def w1(g: DirectedSimpleGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[ExtremePoint]:
+def w1(g: DirectedSimpleGraph) -> list[ExtremePoint]:
     """Normalized signed characteristic vectors, one per cycle.
 
     These are exactly the extreme points of the flow space intersected with
     the l1 ball, up to antipodes.
     """
-    return [_cycle_point(cyc) for cyc in enumerate_simple_cycles(g, cap=cap)]
+    return [_cycle_point(cyc) for cyc in enumerate_simple_cycles(g)]
 
 
 def masc_contains_graph(
@@ -202,14 +201,6 @@ def nsc_graph(s: int, g: DirectedSimpleGraph) -> Fraction:
     if girth_val == INF_GIRTH:
         return Fraction(0)
     return min(Fraction(1), Fraction(s, int(girth_val)))
-
-
-def max_uniform_sparsity(g: DirectedSimpleGraph) -> int:
-    """Largest s with 2s < girth; the edge count for forests."""
-    girth_val = girth(g)
-    if girth_val == INF_GIRTH:
-        return g.edge_count
-    return (int(girth_val) - 1) // 2
 
 
 def erdos_renyi(vertices: int, p: float, seed: int) -> DirectedSimpleGraph:

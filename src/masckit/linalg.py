@@ -23,7 +23,6 @@ __all__ = [
     "float_nullspace_basis",
     "dft_matrix",
     "parse_matrix_text",
-    "format_matrix_text",
 ]
 
 # Relative singular-value cutoff for float rank decisions: below it a
@@ -84,12 +83,6 @@ class NullspaceBasis:
     @property
     def codimension(self) -> int:
         return self.ambient_dim - self.dim
-
-    def as_array(self) -> np.ndarray:
-        """Basis as an n x dim float array (columns are basis vectors)."""
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim, 0))
-        return np.array([[float(x) for x in v] for v in self.basis_vectors]).T
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -192,10 +185,3 @@ def parse_matrix_text(text: str) -> RealMatrix:
     if len(vals) != rows * cols:
         raise InputError("matrix text has wrong number of entries")
     return RealMatrix(rows, cols, tuple(vals))
-
-
-def format_matrix_text(m: RealMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(x) for x in m.row(i)))
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -70,13 +69,6 @@ class SupportSet:
 
     def __iter__(self):
         return iter(self.indices)
-
-    def complement(self) -> "SupportSet":
-        present = set(self.indices)
-        return SupportSet(
-            self.ambient_dim,
-            tuple(i for i in range(self.ambient_dim) if i not in present),
-        )
 
 
 @dataclass(frozen=True)
@@ -169,9 +161,7 @@ def _scan_budget(n: int, max_size: int) -> int:
 
 
 def enumerate_extreme_points(
-    basis: NullspaceBasis,
-    include_antipodes: bool = False,
-    budget: int = DEFAULT_SCAN_CAP,
+    basis: NullspaceBasis, include_antipodes: bool = False
 ) -> list[ExtremePoint]:
     """All extreme points of nullspace-intersect-l1-ball, one per antipodal
     pair unless include_antipodes is set.
@@ -185,10 +175,10 @@ def enumerate_extreme_points(
     if basis.dim == 0:
         return []
     max_size = min(basis.codimension + 1, n)
-    if _scan_budget(n, max_size) > budget:
+    if _scan_budget(n, max_size) > DEFAULT_SCAN_CAP:
         raise BudgetExceededError(
             f"support scan needs {_scan_budget(n, max_size)} candidates, "
-            f"cap is {budget}; too large for exact enumeration"
+            f"cap is {DEFAULT_SCAN_CAP}; too large for exact enumeration"
         )
     if basis.exact:
         zero, tol = Fraction(0), 0
@@ -233,7 +223,6 @@ def masc_contains(
     basis: NullspaceBasis,
     s: SupportSet,
     pts: list[ExtremePoint] | None = None,
-    budget: int = DEFAULT_SCAN_CAP,
 ) -> MembershipVerdict:
     """Decide whether every vector supported in s is always recovered.
 
@@ -244,7 +233,7 @@ def masc_contains(
     if s.ambient_dim != basis.ambient_dim:
         raise InputError("support and basis ambient dimensions differ")
     if pts is None:
-        pts = enumerate_extreme_points(basis, budget=budget)
+        pts = enumerate_extreme_points(basis)
     if not pts:
         return MembershipVerdict.from_mass(0)
     # the first point of largest mass
@@ -256,7 +245,6 @@ def nullspace_constant(
     s: int,
     basis: NullspaceBasis,
     pts: list[ExtremePoint] | None = None,
-    budget: int = DEFAULT_SCAN_CAP,
 ) -> Fraction | float:
     """Largest l1 mass any extreme point can place on s coordinates.
 
@@ -265,7 +253,7 @@ def nullspace_constant(
     if not 1 <= s <= basis.ambient_dim:
         raise InputError("sparsity out of range")
     if pts is None:
-        pts = enumerate_extreme_points(basis, budget=budget)
+        pts = enumerate_extreme_points(basis)
     if not pts:
         return Fraction(0) if basis.exact else 0.0
     best = None
@@ -277,31 +265,24 @@ def nullspace_constant(
     return best
 
 
-def masc_enumerate(
-    basis: NullspaceBasis,
-    max_card: int | None = None,
-    dim_cap: int = DEFAULT_ENUM_DIM_CAP,
-    budget: int = DEFAULT_SCAN_CAP,
-) -> SimplicialComplexSummary:
+def masc_enumerate(basis: NullspaceBasis) -> SimplicialComplexSummary:
     """Enumerate the full family by breadth-first search over cardinality.
 
     A failing set prunes all its supersets, valid because the retained l1 mass
     is monotone in the support.
     """
     n = basis.ambient_dim
-    if n > dim_cap:
+    if n > DEFAULT_ENUM_DIM_CAP:
         raise BudgetExceededError(
-            f"full enumeration capped at n <= {dim_cap}; "
+            f"full enumeration capped at n <= {DEFAULT_ENUM_DIM_CAP}; "
             "use the membership oracle for single supports"
         )
-    if max_card is None:
-        max_card = n
     if basis.dim == 0:
         full = SupportSet.of(n, range(n))
         return SimplicialComplexSummary(n, (full,))
-    pts = enumerate_extreme_points(basis, budget=budget)
+    pts = enumerate_extreme_points(basis)
     levels: list[list[frozenset]] = [[frozenset()]]
-    for k in range(1, max_card + 1):
+    for k in range(1, n + 1):
         prev = set(levels[-1])
         if not prev:
             break
@@ -328,38 +309,18 @@ def masc_enumerate(
     return SimplicialComplexSummary(n, faces)
 
 
-def recoverable_fraction(
-    basis: NullspaceBasis,
-    s: int,
-    mode: str = "exact",
-    trials: int = 0,
-    seed: int = 0,
-    cap: int = DEFAULT_SCAN_CAP,
-    budget: int = DEFAULT_SCAN_CAP,
-) -> float:
-    """Fraction of cardinality-s supports that are always recoverable."""
+def recoverable_fraction(basis: NullspaceBasis, s: int) -> float:
+    """Fraction of cardinality-s supports that are always recoverable,
+    counted over every one of them."""
     n = basis.ambient_dim
     if not 1 <= s <= n:
         raise InputError("sparsity out of range")
-    pts = enumerate_extreme_points(basis, budget=budget)
-    if mode == "exact":
-        total = math.comb(n, s)
-        if total > cap:
-            raise BudgetExceededError(
-                f"{total} supports exceed the exact cap; use sampled mode"
-            )
-        hits = sum(
-            masc_contains(basis, SupportSet(n, c), pts=pts).in_masc
-            for c in combinations(range(n), s)
-        )
-        return hits / total
-    if mode == "sampled":
-        if trials < 1:
-            raise InputError("sampled mode needs trials >= 1")
-        rng = random.Random(seed)
-        hits = 0
-        for _ in range(trials):
-            sup = SupportSet.of(n, rng.sample(range(n), s))
-            hits += masc_contains(basis, sup, pts=pts).in_masc
-        return hits / trials
-    raise InputError(f"unknown mode {mode!r}")
+    pts = enumerate_extreme_points(basis)
+    total = math.comb(n, s)
+    if total > DEFAULT_SCAN_CAP:
+        raise BudgetExceededError(f"{total} supports exceed the cap {DEFAULT_SCAN_CAP}")
+    hits = sum(
+        masc_contains(basis, SupportSet(n, c), pts=pts).in_masc
+        for c in combinations(range(n), s)
+    )
+    return hits / total

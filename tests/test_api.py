@@ -1,8 +1,81 @@
+import types
+
 import numpy as np
 
 import masckit
 import masckit.dft
+import masckit.experiments
+import masckit.graphs
+import masckit.linalg
+import masckit.lp
+import masckit.masc
 import masckit.recovery
+
+# the public surface: what the CLI, the experiments, the benchmark and the
+# acceptance criteria call, and nothing that only tests reach
+MODULE_ALL = {
+    masckit.dft: [
+        "PartialDFTSpec", "symmetrize_omega", "band_spec", "masc_contains_dft",
+        "coherence_lower_bound", "s_max_exact", "s_max_sampled",
+    ],
+    masckit.experiments: ["ExperimentConfig", "run_experiment"],
+    masckit.graphs: [
+        "DirectedSimpleGraph", "SimpleCycle", "incidence_matrix",
+        "enumerate_simple_cycles", "girth", "w1", "masc_contains_graph",
+        "nsc_graph", "erdos_renyi", "parse_graph_text", "format_graph_text",
+    ],
+    masckit.linalg: [
+        "RealMatrix", "NullspaceBasis", "nullspace_basis", "float_nullspace_basis",
+        "dft_matrix", "parse_matrix_text",
+    ],
+    masckit.lp: ["LpResult", "solve_standard_lp"],
+    masckit.masc: [
+        "SupportSet", "ExtremePoint", "SimplicialComplexSummary", "MembershipVerdict",
+        "enumerate_extreme_points", "masc_contains", "nullspace_constant",
+        "masc_enumerate", "recoverable_fraction",
+    ],
+    masckit.recovery: [
+        "RecoveryProblem", "TrialConfig", "basis_pursuit", "recovery_trial",
+        "recovery_rate", "mrsl_naive", "random_sparse_signal", "realify",
+    ],
+}
+
+PACKAGE_NAMES = {
+    # dft
+    "PartialDFTSpec", "band_spec", "coherence_lower_bound", "masc_contains_dft",
+    "s_max_exact", "s_max_sampled", "symmetrize_omega",
+    # errors
+    "BudgetExceededError", "InputError", "MasckitError", "NumericalBoundaryError",
+    "SolverError",
+    # experiments
+    "ExperimentConfig", "run_experiment",
+    # graphs
+    "DirectedSimpleGraph", "SimpleCycle", "enumerate_simple_cycles", "erdos_renyi",
+    "girth", "incidence_matrix", "masc_contains_graph", "nsc_graph", "w1",
+    # linalg
+    "NullspaceBasis", "RealMatrix", "dft_matrix", "float_nullspace_basis",
+    "nullspace_basis",
+    # masc
+    "ExtremePoint", "MembershipVerdict", "SimplicialComplexSummary", "SupportSet",
+    "enumerate_extreme_points", "masc_contains", "masc_enumerate",
+    "nullspace_constant", "recoverable_fraction",
+    # recovery
+    "RecoveryProblem", "TrialConfig", "basis_pursuit", "mrsl_naive", "realify",
+    "recovery_rate", "recovery_trial",
+}
+
+
+def test_module_all_pinned():
+    for module, names in MODULE_ALL.items():
+        assert module.__all__ == names, module.__name__
+
+
+def test_package_reexports_pinned():
+    exported = {
+        name for name, value in vars(masckit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PACKAGE_NAMES
 
 
 def test_traced_benchmark_wrap_targets():

@@ -239,3 +239,15 @@ class TestExperimentCommand:
         cfg.write_text(json.dumps(config))
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_key_usage(self, matrix_file, tmp_path, capsys):
+        # a misspelt matrix_file is named, not ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "custom",
+            "parameters": {"matrix_fle": matrix_file},
+            "output_csv": str(tmp_path / "out.csv"),
+        }))
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "matrix_fle" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()

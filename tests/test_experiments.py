@@ -1,12 +1,14 @@
+import itertools
 import json
 
 import pytest
 
-from masckit.errors import BudgetExceededError, InputError
+from masckit.dft import band_spec, masc_contains_dft, symmetrize_omega
+from masckit.errors import InputError
 from masckit.experiments import (
     ExperimentConfig,
+    _dft_masc_fraction,
     chorded_cycle_graph,
-    emit_plot,
     run_experiment,
 )
 from masckit.graphs import girth
@@ -44,6 +46,23 @@ class TestConfig:
         b = make_cfg(tmp_path, "fig3-cycles")
         assert a.digest() == b.digest()
 
+    @pytest.mark.parametrize("kind, params", [
+        ("fig7-mrsl-small", {"samples": "x"}),
+        ("fig3-cycles", {"bogus": 1}),
+        ("fig6-mrsl-large", {"mode": "exact"}),
+    ], ids=["misspelt", "bogus", "fig6-mode"])
+    def test_unknown_key_rejected(self, tmp_path, kind, params):
+        # a key outside the kind's DEFAULTS would otherwise be ignored
+        key = next(iter(params))
+        with pytest.raises(InputError, match=key):
+            make_cfg(tmp_path, kind, params)
+
+    @pytest.mark.parametrize("field", ["output_csv", "output_svg"])
+    def test_non_string_output_rejected(self, field):
+        # open() would take an int as a file descriptor
+        with pytest.raises(InputError, match=field):
+            ExperimentConfig.from_json(json.dumps({"kind": "fig7-mrsl-small", field: 1}))
+
 
 class TestChordedCycleFamily:
     @pytest.mark.parametrize("length", [3, 5, 9])
@@ -70,11 +89,6 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert (tmp_path / "out.csv").read_bytes() == first
 
-    def test_fig6_exact_rejected(self, tmp_path):
-        cfg = make_cfg(tmp_path, "fig6-mrsl-large", {"mode": "exact"})
-        with pytest.raises(BudgetExceededError):
-            run_experiment(cfg)
-
     def test_fig7_ordering(self, tmp_path):
         cfg = make_cfg(
             tmp_path,
@@ -98,45 +112,55 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+class TestDftMascFraction:
+    @pytest.mark.parametrize("spec, sizes", [
+        (band_spec(13, 4), range(1, 6)),
+        (symmetrize_omega(11, [0, 2, 4, 7, 9]), range(1, 4)),
+    ], ids=["band13", "nonband11"])
+    def test_matches_membership_check(self, spec, sizes):
+        # band(13, 4) at s = 5 holds supports whose worst mass lies within
+        # the tie band of one half: both count them as not recoverable
+        for s in sizes:
+            supports = list(itertools.combinations(range(spec.n), s))
+            inside = sum(masc_contains_dft(spec, sup).in_masc for sup in supports)
+            assert _dft_masc_fraction(spec, s) == inside / len(supports)
+
+
 class TestEmitPlot:
-    def _csv(self, tmp_path, text):
-        p = tmp_path / "d.csv"
-        p.write_text(text)
-        return str(p)
+    def _run(self, tmp_path, kind, params):
+        cfg = make_cfg(tmp_path, kind, params, svg=True)
+        run_experiment(cfg)
+        csv = (tmp_path / "out.csv").read_text().splitlines()
+        return csv, (tmp_path / "out.svg").read_text()
 
     def test_line_plot_polylines(self, tmp_path):
-        csv = self._csv(
-            tmp_path, "s,rate,frac\n1,1.0,1.0\n2,0.9,0.8\n3,0.5,0.1\n"
-        )
-        svg = tmp_path / "p.svg"
-        emit_plot(csv, {"type": "line", "x": "s", "y": ["rate", "frac"]}, str(svg))
-        assert svg.read_text().count("<polyline") == 2
+        # fig5 plots rate and masc_fraction against sparsity
+        _, svg = self._run(tmp_path, "fig5-dft-recovery",
+                           {"trials": 5, "sparsities": [1, 2, 3]})
+        assert svg.count("<polyline") == 2
 
     def test_heatmap_rects(self, tmp_path):
-        csv = self._csv(tmp_path, "p,s,rate\n0.1,1,1.0\n0.1,2,0.5\n0.2,1,0.9\n0.2,2,0.2\n")
-        svg = tmp_path / "h.svg"
-        emit_plot(
-            csv, {"type": "heatmap", "x": "p", "y": "s", "value": "rate"}, str(svg)
-        )
-        # one cell rect per (p, s) pair plus the white background
-        assert svg.read_text().count("<rect") == 5
-
-    def test_missing_column(self, tmp_path):
-        csv = self._csv(tmp_path, "a,b\n1,2\n")
-        with pytest.raises(InputError):
-            emit_plot(csv, {"type": "line", "x": "a", "y": ["zzz"]}, str(tmp_path / "x.svg"))
+        csv, svg = self._run(tmp_path, "fig4-erdos-renyi", {
+            "vertices": 12, "graphs": 2, "trials": 3, "sparsities": [1, 2],
+            "p_exponents": [0.5, 1.0],
+        })
+        header = csv[2].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in csv[3:]]
+        cells = {(r["p_exponent"], r["sparsity"]) for r in rows}
+        assert len(cells) == 4
+        # one cell rect per (p_exponent, sparsity) pair plus the white background
+        assert svg.count("<rect") == len(cells) + 1
 
     def test_empty_csv_no_file(self, tmp_path):
-        csv = self._csv(tmp_path, "")
-        out = tmp_path / "x.svg"
+        cfg = make_cfg(tmp_path, "fig3-cycles", {"cycle_lengths": []}, svg=True)
         with pytest.raises(InputError):
-            emit_plot(csv, {"type": "line", "x": "a", "y": ["b"]}, str(out))
-        assert not out.exists()
+            run_experiment(cfg)
+        # the CSV holds its header only, and no SVG is written
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 3
+        assert not (tmp_path / "out.svg").exists()
 
     def test_deterministic_bytes(self, tmp_path):
-        csv = self._csv(tmp_path, "s,rate\n1,1.0\n2,0.5\n")
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        spec = {"type": "line", "x": "s", "y": ["rate"], "title": "t"}
-        emit_plot(csv, spec, str(a))
-        emit_plot(csv, spec, str(b))
-        assert a.read_bytes() == b.read_bytes()
+        params = {"trials": 5, "sparsities": [1, 2]}
+        _, first = self._run(tmp_path, "fig5-dft-recovery", params)
+        _, again = self._run(tmp_path, "fig5-dft-recovery", params)
+        assert again == first

@@ -19,7 +19,6 @@ from masckit.graphs import (
     girth,
     incidence_matrix,
     masc_contains_graph,
-    max_uniform_sparsity,
     nsc_graph,
     parse_graph_text,
     w1,
@@ -51,6 +50,17 @@ PINNED_ER100 = {
     9: ("1429aa9768bfb782", "20138bb1b656648b"),
     10: ("3e44ed23b469ec93", "43af4e6c0323ff17"),
 }
+
+
+def uniform_levels(g):
+    """Every s for which the membership check accepts all edge supports of
+    size s."""
+    n = g.edge_count
+    return [
+        s for s in range(1, n + 1)
+        if all(masc_contains_graph(g, SupportSet.of(n, c)).in_masc
+               for c in itertools.combinations(range(n), s))
+    ]
 
 
 def fig4_graphs(k, seeds):
@@ -297,25 +307,21 @@ class TestClosedForms:
             assert nsc_graph(s, g) == nullspace_constant(s, b, pts=pts)
 
     def test_max_uniform_sparsity(self, triangle):
-        assert max_uniform_sparsity(triangle) == 1
+        # the largest s with 2s < girth: 1 on a triangle, 3 on a 7-cycle,
+        # and every edge set of a forest
         g7 = DirectedSimpleGraph(7, tuple((i, (i + 1) % 7) for i in range(7)))
-        assert max_uniform_sparsity(g7) == 3
         tree = DirectedSimpleGraph(3, ((0, 1), (1, 2)))
-        assert max_uniform_sparsity(tree) == 2
+        for g, smax in ((triangle, 1), (g7, 3), (tree, 2)):
+            assert uniform_levels(g) == list(range(1, smax + 1))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6))
     def test_uniform_sparsity_threshold(self, seed):
-        # all supports of size s accepted iff s <= max_uniform_sparsity
+        # all supports of size s accepted iff 2s < girth (every s on a forest)
         g = random_connected_graph(random.Random(seed), max_edges=6)
-        n = g.edge_count
-        smax = max_uniform_sparsity(g)
-        for s in range(1, n + 1):
-            all_in = all(
-                masc_contains_graph(g, SupportSet.of(n, c)).in_masc
-                for c in itertools.combinations(range(n), s)
-            )
-            assert all_in == (s <= smax)
+        girth_val = girth(g)
+        smax = g.edge_count if girth_val == math.inf else (int(girth_val) - 1) // 2
+        assert uniform_levels(g) == list(range(1, smax + 1))
 
 
 class TestErdosRenyi:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_rational_matrix
+from masckit import masc
 from masckit.errors import BudgetExceededError, InputError
 from masckit.linalg import RealMatrix, float_nullspace_basis, nullspace_basis
 from masckit.masc import (
@@ -80,15 +81,6 @@ class TestSupportSet:
         s = SupportSet.of(5, [3, 1, 3])
         assert s.indices == (1, 3)
 
-    def test_complement(self):
-        s = SupportSet.of(5, [0, 2])
-        assert s.complement().indices == (1, 3, 4)
-
-    @given(st.sets(st.integers(0, 9)))
-    def test_complement_involution(self, idx):
-        s = SupportSet.of(10, idx)
-        assert s.complement().complement() == s
-
 
 class TestEnumerateExtremePoints:
     def test_sum_row(self):
@@ -134,9 +126,11 @@ class TestEnumerateExtremePoints:
         sups = [frozenset(p.support.indices) for p in pts]
         assert not any(a < b_ for a in sups for b_ in sups)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # 465 candidate supports of size at most 2 against a cap of 10
+        monkeypatch.setattr(masc, "DEFAULT_SCAN_CAP", 10)
         with pytest.raises(BudgetExceededError):
-            enumerate_extreme_points(basis_of([[1] * 30]), budget=10)
+            enumerate_extreme_points(basis_of([[1] * 30]))
 
     def test_zero_row_unit_vectors(self):
         # codimension 0: the annihilator is empty and the scan uses a zero row
@@ -231,7 +225,7 @@ class TestMascEnumerate:
 
     def test_dim_cap(self):
         with pytest.raises(BudgetExceededError):
-            masc_enumerate(basis_of([[1] * 30]), dim_cap=24)
+            masc_enumerate(basis_of([[1] * 30]))
 
     def test_json_roundtrip(self):
         summ = masc_enumerate(basis_of([[1, 1, 1, 1]]))
@@ -269,7 +263,7 @@ class TestMascEnumerate:
         if b.dim == 0:
             return
         summ = masc_enumerate(b)
-        arr = b.as_array()
+        arr = np.array(b.basis_vectors, dtype=float).T
         grid = np.array(
             list(itertools.product(np.linspace(-1, 1, 9), repeat=b.dim))
         )
@@ -289,12 +283,3 @@ class TestRecoverableFraction:
         assert recoverable_fraction(b, 1) == 0.0
         b2 = basis_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert recoverable_fraction(b2, 2) == 1.0
-
-    def test_sampled_matches_exact_in_extremes(self):
-        b = basis_of([[1, -1, 1]])
-        assert recoverable_fraction(b, 1, mode="sampled", trials=50, seed=1) == 0.0
-
-    def test_sampled_reproducible(self):
-        b = basis_of([[1, 2, 3, 4, 5]])
-        a = recoverable_fraction(b, 2, mode="sampled", trials=200, seed=9)
-        assert a == recoverable_fraction(b, 2, mode="sampled", trials=200, seed=9)
