@@ -97,11 +97,12 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = 1 / Fraction(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
+        # rows r and below are zero left of column c: touch columns c onward
+        rows[r][c:] = pivot_row = [x * inv for x in rows[r][c:]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], pivot_row)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -120,7 +121,7 @@ def nullspace_basis(phi: RealMatrix) -> NullspaceBasis:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+            v[pc] -= rref[r][fc]  # a Fraction even where rref kept an int 0
         basis.append(tuple(v))
     return NullspaceBasis(n, tuple(basis), exact=True)
 
@@ -137,9 +138,8 @@ def float_nullspace_basis(a: np.ndarray) -> NullspaceBasis:
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     smax = s[0] if len(s) else 0.0
     rank = int(np.sum(s > RANK_RTOL * max(smax, 1.0)))
-    null = vt[rank:].conj()
     return NullspaceBasis(
-        a.shape[1], tuple(tuple(float(x) for x in v) for v in null), exact=False
+        a.shape[1], tuple(tuple(float(x) for x in v) for v in vt[rank:]), exact=False
     )
 
 

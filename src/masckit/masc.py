@@ -1,9 +1,9 @@
 """Matrix-agnostic certification machinery.
 
-Extreme points of nullspace-and-l1-ball intersections found by minimal-support
-scanning, membership checks for the family of always-recoverable supports,
-the nullspace constant, full enumeration of the family, and the induced
-recovery-probability lower bound.
+Extreme points of nullspace-and-l1-ball intersections read off the circuits
+of (rank+1)-column sets, membership checks for the family of
+always-recoverable supports, the nullspace constant, full enumeration of the
+family, and the induced recovery-probability lower bound.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -156,64 +156,60 @@ class MembershipVerdict:
         return cls(decided, inside, margin, None if inside else witness())
 
 
-def _scan_budget(n: int, max_size: int) -> int:
-    return sum(math.comb(n, t) for t in range(1, max_size + 1))
+def _circuit(rows, gamma) -> ExtremePoint | None:
+    """The extreme point on the one circuit inside column set gamma of rows
+    (Fraction tuples, or a float array), or None when the nullspace of those
+    columns is not a line. Its support is where the null vector is nonzero,
+    for floats above RANK_RTOL of its largest entry."""
+    n = len(rows[0])
+    if isinstance(rows, np.ndarray):
+        space = float_nullspace_basis(rows[:, list(gamma)])
+    else:
+        cols = tuple(row[j] for row in rows for j in gamma)
+        space = nullspace_basis(RealMatrix(len(rows), len(gamma), cols))
+    if space.dim != 1:
+        return None
+    v = space.basis_vectors[0]
+    tol = 0 if space.exact else RANK_RTOL * max(map(abs, v))
+    kept = [(j, x) for j, x in zip(gamma, v) if abs(x) > tol]
+    scale = sum(abs(x) for _, x in kept) * (1 if kept[0][1] > 0 else -1)
+    z = [Fraction(0) if space.exact else 0.0] * n
+    for j, x in kept:
+        z[j] = x / scale
+    return ExtremePoint(tuple(z), SupportSet.of(n, [j for j, _ in kept]))
 
 
 def enumerate_extreme_points(
     basis: NullspaceBasis, include_antipodes: bool = False
 ) -> list[ExtremePoint]:
     """All extreme points of nullspace-intersect-l1-ball, one per antipodal
-    pair unless include_antipodes is set.
+    pair unless include_antipodes is set, by support size, then indices.
 
-    Scans candidate supports of size at most codimension+1. The span is the
-    nullspace of the rows that annihilate it, so a candidate is kept when
-    the nullspace of its columns of those rows is one-dimensional and its
-    spanning vector is nonzero on every coordinate.
+    The span is the nullspace of the rows that annihilate it, of rank r, the
+    codimension. Each circuit of those rows is the one circuit inside some
+    r+1 of their columns, so the scan reads a circuit off each of the
+    C(n, r+1) column sets and keeps the first point per support.
     """
     n = basis.ambient_dim
     if basis.dim == 0:
         return []
-    max_size = min(basis.codimension + 1, n)
-    if _scan_budget(n, max_size) > DEFAULT_SCAN_CAP:
-        raise BudgetExceededError(
-            f"support scan needs {_scan_budget(n, max_size)} candidates, "
-            f"cap is {DEFAULT_SCAN_CAP}; too large for exact enumeration"
-        )
-    if basis.exact:
-        zero, tol = Fraction(0), 0
-
-        def build(rows):
-            entries = tuple(chain.from_iterable(rows))
-            return nullspace_basis(RealMatrix(len(rows), len(rows[0]), entries))
-    else:
-        zero, tol = 0.0, RANK_RTOL
-
-        def build(rows):
-            return float_nullspace_basis(np.array(rows))
-
+    size = basis.codimension + 1
+    total = math.comb(n, size)
+    if total > DEFAULT_SCAN_CAP:
+        raise BudgetExceededError(f"scan needs {total} column sets, cap is {DEFAULT_SCAN_CAP}")
     # one zero row when the span is all of R^n (codimension 0)
-    ann = build(basis.basis_vectors).basis_vectors or ((zero,) * n,)
-    found: list[ExtremePoint] = []
-    found_supports: list[set[int]] = []
-    for size in range(1, max_size + 1):
-        for gamma in combinations(range(n), size):
-            gset = set(gamma)
-            if any(fs < gset for fs in found_supports):
-                continue
-            space = build([[row[j] for j in gamma] for row in ann])
-            if space.dim != 1:
-                continue
-            v = space.basis_vectors[0]
-            mags = [abs(x) for x in v]
-            if min(mags) <= tol * max(mags):
-                continue
-            scale = sum(mags) if v[0] > 0 else -sum(mags)
-            z = [zero] * n
-            for i, x in zip(gamma, v):
-                z[i] = x / scale
-            found.append(ExtremePoint(tuple(z), SupportSet(n, gamma)))
-            found_supports.append(gset)
+    if basis.exact:
+        ann = nullspace_basis(RealMatrix.from_rows(basis.basis_vectors)).basis_vectors
+        ann = ann or ((Fraction(0),) * n,)
+    else:
+        ann = float_nullspace_basis(np.array(basis.basis_vectors)).basis_vectors
+        ann = np.array(ann or ((0.0,) * n,))
+    by_support: dict[SupportSet, ExtremePoint] = {}
+    for gamma in combinations(range(n), size):
+        p = _circuit(ann, gamma)
+        if p is not None:
+            by_support.setdefault(p.support, p)
+    found = sorted(by_support.values(), key=lambda p: (len(p.support), p.support.indices))
     if include_antipodes:
         found = found + [ExtremePoint(tuple(-x for x in p.vector), p.support) for p in found]
     return found

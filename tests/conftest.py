@@ -1,8 +1,10 @@
 """Shared fixtures: small worked-example matrices, random graph helpers and
 reference code shared by several test files."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +58,46 @@ def random_rational_matrix(rng: random.Random, rows: int, cols: int) -> RealMatr
     return RealMatrix.from_rows(
         [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def circuits_reference(phi: RealMatrix) -> list[tuple[tuple[int, ...], tuple]]:
+    """Every circuit of phi's columns, the minimal T with rank phi_T = |T| - 1,
+    with its null vector l1-normalized, first entry positive and embedded in
+    R^n; by size, then indices. Exact Gauss-Jordan elimination on Fractions
+    over every column set, smallest first, skipping supersets of circuits.
+    """
+    n = phi.cols
+    found = []
+    for size in range(1, n + 1):
+        for t in itertools.combinations(range(n), size):
+            if any(set(c) <= set(t) for c, _ in found):
+                continue
+            sub = [[Fraction(phi[i, j]) for j in t] for i in range(phi.rows)]
+            pivots = []
+            for c in range(size):
+                r = len(pivots)
+                pr = next((i for i in range(r, len(sub)) if sub[i][c] != 0), None)
+                if pr is None:
+                    continue
+                sub[r], sub[pr] = sub[pr], sub[r]
+                sub[r] = [x / sub[r][c] for x in sub[r]]
+                for i in range(len(sub)):
+                    if i != r:
+                        sub[i] = [a - sub[i][c] * b for a, b in zip(sub[i], sub[r])]
+                pivots.append(c)
+            if len(pivots) != size - 1:
+                continue
+            free = next(c for c in range(size) if c not in pivots)
+            v = [Fraction(0)] * size
+            v[free] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -sub[r][free]
+            scale = sum(abs(x) for x in v) * (1 if v[0] > 0 else -1)
+            z = [Fraction(0)] * n
+            for j, x in zip(t, v):
+                z[j] = x / scale
+            found.append((t, tuple(z)))
+    return found
 
 
 def flow_space_basis(g: DirectedSimpleGraph):

@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from masckit.dft import (
     _weights,
@@ -21,9 +20,7 @@ from masckit.dft import (
     s_max_sampled,
     symmetrize_omega,
 )
-from masckit.experiments import chorded_cycle_graph
 from masckit.graphs import (
-    DirectedSimpleGraph,
     enumerate_simple_cycles,
     erdos_renyi,
     incidence_matrix,

@@ -23,7 +23,7 @@ from masckit.graphs import (
     parse_graph_text,
     w1,
 )
-from masckit.linalg import RealMatrix, nullspace_basis
+from masckit.linalg import RealMatrix
 from masckit.masc import (
     SupportSet,
     enumerate_extreme_points,

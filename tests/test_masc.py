@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import random_rational_matrix
+from conftest import circuits_reference, random_rational_matrix
 from masckit import masc
 from masckit.errors import BudgetExceededError, InputError
 from masckit.linalg import RealMatrix, float_nullspace_basis, nullspace_basis
 from masckit.masc import (
-    ExtremePoint,
     SimplicialComplexSummary,
     SupportSet,
     enumerate_extreme_points,
@@ -126,8 +125,34 @@ class TestEnumerateExtremePoints:
         sups = [frozenset(p.support.indices) for p in pts]
         assert not any(a < b_ for a in sups for b_ in sups)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_complete_against_circuit_reference(self, seed):
+        # every circuit, with the same normalized vector, in the same order;
+        # the matrix kinds cover dependent rows, zero columns, codimension 0
+        # and full column rank
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        kind = seed % 5
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n if kind == 4 else rng.randint(1, min(n, 4)))
+        ]
+        if kind == 1:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        elif kind == 2:
+            for j in rng.sample(range(n), rng.randint(1, n - 1)):
+                for row in rows:
+                    row[j] = 0
+        elif kind == 3:
+            rows = [[0] * n]
+        phi = RealMatrix.from_rows(rows)
+        pts = enumerate_extreme_points(nullspace_basis(phi))
+        assert [(p.support.indices, p.vector) for p in pts] == circuits_reference(phi)
+
     def test_budget(self, monkeypatch):
-        # 465 candidate supports of size at most 2 against a cap of 10
+        # C(30, 2) = 435 candidate sets of size 2 against a cap of 10
         monkeypatch.setattr(masc, "DEFAULT_SCAN_CAP", 10)
         with pytest.raises(BudgetExceededError):
             enumerate_extreme_points(basis_of([[1] * 30]))
