@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 scale or budget exceeded,
-4 numerical-boundary verdict encountered together with --strict.
+Exit codes: 0 success, 2 usage error, 3 scale or budget exceeded, 4 numerical
+boundary: a boundary verdict under --strict, or an error that left no verdict.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except NumericalBoundaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY if args.strict else EXIT_OK
+        return EXIT_BOUNDARY
     except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

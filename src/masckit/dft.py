@@ -20,8 +20,9 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, NumericalBoundaryError
-from .linalg import dft_matrix
-from .masc import ExtremePoint, MembershipVerdict, SupportSet
+from .linalg import RANK_RTOL, dft_matrix
+from .masc import ExtremePoint, MembershipVerdict, SupportSet, _circuit
+from .recovery import realify
 
 __all__ = [
     "PartialDFTSpec",
@@ -138,18 +139,6 @@ def _unit_rows(logs: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _null_vectors(f: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Unit null vector of the columns of f on each row of gammas, (B, k)."""
-    _, sv, vh = np.linalg.svd(f[:, gammas].transpose(1, 0, 2), full_matrices=True)
-    # prime n makes every minor nonzero, hence nullity exactly one; the DFT
-    # entries have unit modulus, which sets the scale of the tolerance
-    if np.any(sv[:, -1] <= 1e-10):
-        raise NumericalBoundaryError(
-            "restricted nullspace not one-dimensional within tolerance"
-        )
-    return vh[:, -1, :].conj()
-
-
 def _block_rows(spec: PartialDFTSpec) -> int:
     return max(1, _BLOCK // spec.gamma_size**2)
 
@@ -170,7 +159,14 @@ def _weights(spec: PartialDFTSpec, gammas: np.ndarray) -> np.ndarray:
         strip = _sin_log_strip(n)
         logs = -strip[(gammas[:, :, None] + (n - 1)) - gammas[:, None, :]].sum(axis=2)
         return _unit_rows(logs)
-    w = np.abs(_null_vectors(spec.partial_matrix(), gammas))
+    sub = spec.partial_matrix()[:, gammas].transpose(1, 0, 2)
+    _, sv, vh = np.linalg.svd(sub, full_matrices=True)
+    # prime n makes every minor nonzero, hence nullity exactly one
+    if np.any(sv[:, -1] <= RANK_RTOL * sv[:, 0]):
+        raise NumericalBoundaryError(
+            "restricted nullspace not one-dimensional within tolerance"
+        )
+    w = np.abs(vh[:, -1, :])
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -192,23 +188,23 @@ def _s_max_rows(weights: np.ndarray) -> np.ndarray:
     return (prefix < 0.5).sum(axis=1)
 
 
-def _nu_extreme_point(spec: PartialDFTSpec, gamma: np.ndarray) -> ExtremePoint:
-    """The extreme point on candidate support gamma (an index array): the
-    real spanning vector of the nullspace restricted to gamma, embedded into
-    R^n on gamma and l1-normalized, with a positive first entry.
+def _witness(spec: PartialDFTSpec, gamma: np.ndarray, weights: np.ndarray) -> ExtremePoint:
+    """The circuit on candidate support gamma (a sorted index array) that
+    the verdict was decided from, with a positive first entry; `weights` is
+    gamma's row of `_weights`.
 
-    The restricted nullspace is closed under conjugation and one-dimensional,
-    so the complex null vector is real up to a phase: rotating it by the
-    phase of its largest entry makes it real.
+    Band row sets: trigonometric polynomials of degree mbar form a Chebyshev
+    system, so the circuit alternates in sign over sorted gamma and its
+    magnitudes are the weights. Other row sets: `masc._circuit` on the
+    realified rows, as the generic scan reads it.
     """
-    nu = _null_vectors(spec.partial_matrix(), gamma[None])[0]
-    top = nu[np.argmax(np.abs(nu))]
-    nu = nu * (abs(top) / top)
-    if np.max(np.abs(nu.imag)) > 1e-6 * abs(top):
-        raise NumericalBoundaryError("degenerate realification")
-    v = nu.real * np.sign(nu.real[0])
+    if spec.mbar is None:
+        point = _circuit(realify(spec.partial_matrix()), gamma)
+        if point is None:
+            raise NumericalBoundaryError("restricted nullspace not one-dimensional")
+        return point
     out = np.zeros(spec.n)
-    out[gamma] = v / np.sum(np.abs(v))
+    out[gamma] = weights * (-1.0) ** np.arange(len(gamma))
     return ExtremePoint(tuple(out.tolist()), SupportSet.of(spec.n, gamma))
 
 
@@ -280,9 +276,9 @@ def masc_contains_dft(
         masses = (weights * mask[block]).sum(axis=1)
         at = int(np.argmax(masses))
         if masses[at] > worst_mass:
-            worst_mass, worst = float(masses[at]), block[at]
+            worst_mass, worst = float(masses[at]), (block[at], weights[at])
     return MembershipVerdict.from_mass(
-        worst_mass, lambda: _nu_extreme_point(spec, worst), sampled
+        worst_mass, lambda: _witness(spec, *worst), sampled
     )
 
 

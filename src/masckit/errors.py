@@ -14,7 +14,8 @@ class BudgetExceededError(MasckitError):
 
 
 class NumericalBoundaryError(MasckitError):
-    """A floating-point comparison landed inside the tie band, no verdict."""
+    """A float restricted nullspace is not a line: no circuit, no verdict.
+    (Masses inside the tie band give boundary verdicts, not this error.)"""
 
 
 class SolverError(MasckitError):

@@ -78,13 +78,6 @@ def test_package_reexports_pinned():
     assert exported == PACKAGE_NAMES
 
 
-def test_traced_benchmark_wrap_targets():
-    # `perfbench/worker.py --trace 1` wraps these module attributes by name;
-    # dropping either one breaks the traced run with an AttributeError
-    assert callable(masckit.dft.dft_matrix)
-    assert callable(masckit.recovery.solve_standard_lp)
-
-
 def test_benchmark_calls_on_changed_types():
     # the calls perfbench's workloads make on RealMatrix, NullspaceBasis and
     # the scan, through the package namespace

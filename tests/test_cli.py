@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+import masckit.cli
 from masckit.cli import main
+from masckit.errors import NumericalBoundaryError
+from masckit.masc import MembershipVerdict
 
 CHAIN_GRAPH = "6 7\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n5 1\n"
 TRIANGLE = "3 3\n-1 0 1\n1 -1 0\n0 1 -1\n"
@@ -118,6 +121,16 @@ class TestDftCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "out" and len(out["worst_gamma"]) == 6
 
+    def test_masc_check_n1009_sampled_out(self, capsys):
+        # the worst sampled candidate support holds 0.61 of its weight on the
+        # pair, so the verdict is "out" with a witness on all 248 entries
+        assert main(["dft", "masc-check", "--n", "1009", "--mbar", "123",
+                     "--support", "194,195", "--sampled", "--samples", "1000",
+                     "--seed", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "out" and out["decided"]
+        assert len(out["witness_support"]) == 248
+
     def test_mrsl_exact(self, capsys):
         assert main(["dft", "mrsl", "--n", "19", "--mbar", "7", "--exact"]) == 0
         assert json.loads(capsys.readouterr().out)["s_max"] == 3
@@ -150,6 +163,33 @@ class TestDftCommands:
     @pytest.mark.parametrize("option", ["--seed", "--budget", "--samples"])
     def test_bound_takes_no_search_options(self, option, capsys):
         assert main(["dft", "bound", "--n", "19", "--mbar", "7", option, "3"]) == 2
+
+
+class TestBoundaryExit:
+    """Exit 4: a boundary verdict under --strict, or an error with no verdict."""
+
+    ARGS = ["dft", "masc-check", "--n", "11", "--omega", "0,2,4,7,9", "--support", "0,5"]
+
+    def _patch(self, monkeypatch, fake):
+        monkeypatch.setattr(masckit.cli, "masc_contains_dft", lambda *a, **k: fake())
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+    def test_error_without_verdict_exits_4(self, monkeypatch, strict, capsys):
+        def fail():
+            raise NumericalBoundaryError("restricted nullspace not one-dimensional")
+
+        self._patch(monkeypatch, fail)
+        assert main([*strict, *self.ARGS]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not one-dimensional" in captured.err
+
+    @pytest.mark.parametrize("strict, code", [([], 0), (["--strict"], 4)],
+                             ids=["lenient", "strict"])
+    def test_boundary_verdict_is_printed(self, monkeypatch, strict, code, capsys):
+        self._patch(monkeypatch, lambda: MembershipVerdict(False, False, -1e-12))
+        assert main([*strict, *self.ARGS]) == code
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "boundary" and not out["decided"]
 
 
 class TestUsage:

@@ -18,12 +18,13 @@ from masckit.errors import BudgetExceededError, InputError
 from masckit.dft import (
     PartialDFTSpec,
     _block_rows,
-    _nu_extreme_point,
     _s_max_rows,
+    _sample_gammas,
     _sin_log_table,
     _top_mass,
     _unit_rows,
     _weights,
+    _witness,
     band_spec,
     coherence_lower_bound,
     masc_contains_dft,
@@ -72,9 +73,10 @@ def top_mass_reference(logs, s):
     return top.sum(axis=-1) / w.sum(axis=-1)
 
 
-def nu_vector(spec, gamma):
+def witness_vector(spec, gamma):
     """The witness vector the membership check builds on gamma, in R^n."""
-    return _nu_extreme_point(spec, np.array(gamma)).as_float()
+    gamma = np.array(gamma)
+    return _witness(spec, gamma, _weights(spec, gamma[None])[0]).as_float()
 
 
 def minor_weights(spec, gamma):
@@ -136,7 +138,7 @@ class TestPartialMatrix:
 class TestNullspaceVectorNu:
     def test_small_exact(self):
         spec = symmetrize_omega(3, [0])
-        nu = nu_vector(spec, (0, 1))
+        nu = witness_vector(spec, (0, 1))
         assert np.allclose(nu, [0.5, -0.5, 0.0], atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -147,7 +149,7 @@ class TestNullspaceVectorNu:
         size = rng.randint(1, max(1, n // 2))
         spec = symmetrize_omega(n, rng.sample(range(n), size))
         gamma = tuple(sorted(rng.sample(range(n), spec.gamma_size)))
-        nu = nu_vector(spec, gamma)
+        nu = witness_vector(spec, gamma)
         assert np.max(np.abs(spec.partial_matrix() @ nu)) < 1e-9
         assert abs(np.abs(nu).sum() - 1.0) < 1e-12
         # full support on gamma (no nullspace vector on a smaller support)
@@ -156,8 +158,8 @@ class TestNullspaceVectorNu:
         assert np.all(nu[off] == 0.0)
 
     def test_band_witnesses_n61(self):
-        # two supports from sampled rejections at n = 61 on which realifying
-        # the minors as nu + conj(nu) cancelled to rounding noise
+        # two candidate supports from sampled rejections at n = 61, kept as
+        # regression cases for witnesses outside the nullspace
         spec = band_spec(61, 15)
         for gamma in (
             [0, 1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 14, 15, 20, 21, 22, 23, 26, 29,
@@ -165,8 +167,40 @@ class TestNullspaceVectorNu:
             [0, 10, 16, 17, 19, 21, 22, 27, 28, 29, 30, 31, 32, 34, 35, 36, 37,
              38, 39, 40, 42, 43, 44, 46, 48, 49, 53, 55, 56, 57, 58, 59],
         ):
-            nu = nu_vector(spec, gamma)
+            nu = witness_vector(spec, gamma)
             assert np.max(np.abs(spec.partial_matrix() @ nu)) < 1e-9
+
+
+class TestBandWitness:
+    # the circuit on each of 20 seeded candidate supports, reached through a
+    # one-support sampled query whose S is the fewest heaviest entries that
+    # hold half the weight. At n = 1009 the smallest singular value of the
+    # measured rows on each gamma is below 3e-14 of the largest, rounding
+    # level, so an SVD of those rows cannot give these circuits
+    @pytest.mark.parametrize("n, mbar", [(101, 30), (251, 60), (1009, 123)])
+    def test_witness_is_the_deciding_circuit(self, n, mbar):
+        spec = band_spec(n, mbar)
+        rows = spec.partial_matrix()
+        for seed in range(20):
+            (gamma,) = _sample_gammas(spec, 1, seed)
+            gamma = np.array(gamma)
+            weights = _weights(spec, gamma[None])[0]
+            heavy = np.argsort(weights)[::-1]
+            t = int(np.searchsorted(np.cumsum(weights[heavy]), 0.5)) + 1
+            s = sorted(gamma[heavy[:t]].tolist())
+            v = masc_contains_dft(spec, s, sampled=True, sample_size=1, seed=seed)
+            assert v.decided and not v.in_masc
+            assert v.witness.support.indices == tuple(gamma)
+            z = v.witness.as_float()
+            assert np.array_equal(np.sign(z[gamma]), (-1.0) ** np.arange(len(gamma)))
+            assert np.array_equal(np.abs(z[gamma]), weights)
+            assert np.max(np.abs(rows @ z)) <= 1e-12
+            assert abs(np.abs(z).sum() - 1.0) <= 1e-12
+            # the same weights, summed in another order unless |S| <= 2
+            mass = v.witness.l1_mass_on(s)
+            if len(s) <= 2:
+                assert mass == 0.5 - v.margin
+            assert abs(mass - (0.5 - v.margin)) <= 4 * np.finfo(float).eps
 
 
 class TestFGamma:
@@ -333,7 +367,7 @@ class TestSMax:
         assert len(gamma) == spec.gamma_size
         assert _s_max_rows(_weights(spec, np.array([gamma])))[0] == 1
         assert _s_max_rows(minor_weights(spec, gamma)[None])[0] == 1
-        nu = nu_vector(spec, gamma)
+        nu = witness_vector(spec, gamma)
         assert np.abs(nu[[0, 1]]).sum() > 0.5
         # 1000 uniform draws alone report 2 at this seed; the swap search
         # reaches the witness level, which the coherence guarantee matches
