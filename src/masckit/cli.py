@@ -139,8 +139,6 @@ def _cmd_graph(args) -> int:
 def _dft_spec(args):
     if args.omega is not None:
         return symmetrize_omega(args.n, _indices(args.omega))
-    if args.mbar is None:
-        raise InputError("provide --omega or --mbar")
     return band_spec(args.n, args.mbar)
 
 
@@ -245,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("masc-check", "mrsl", "bound"):
         dp = dsub.add_parser(name)
         dp.add_argument("--n", type=int, required=True)
-        dp.add_argument("--omega")
-        dp.add_argument("--mbar", type=int)
+        which = dp.add_mutually_exclusive_group(required=True)
+        which.add_argument("--omega")
+        which.add_argument("--mbar", type=int)
         if name != "bound":
             dp.add_argument("--budget", type=int, default=DEFAULT_GAMMA_BUDGET)
             dp.add_argument("--samples", type=int, default=1000)

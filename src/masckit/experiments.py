@@ -16,8 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, fields
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +31,6 @@ from .masc import MembershipVerdict
 from .recovery import TrialConfig, mrsl_naive, realify, recovery_rate
 
 __all__ = ["ExperimentConfig", "run_experiment"]
-
-KINDS = (
-    "fig3-cycles",
-    "fig4-erdos-renyi",
-    "fig5-dft-recovery",
-    "fig6-mrsl-large",
-    "fig7-mrsl-small",
-    "custom",
-)
 
 DEFAULTS = {
     "fig3-cycles": {
@@ -99,6 +92,8 @@ FAST_OVERRIDES = {
     "custom": {"trials": 20},
 }
 
+KINDS = tuple(DEFAULTS)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -134,16 +129,15 @@ class ExperimentConfig:
         d = json.loads(text)
         if not isinstance(d, dict) or "kind" not in d:
             raise InputError('experiment config must be a JSON object with a "kind"')
+        # the top-level keys are this class's fields
+        unknown = [k for k in d if k not in {f.name for f in fields(cls)}]
+        if unknown:
+            raise InputError(f"unknown experiment config keys: {', '.join(unknown)}")
         params = d.get("parameters", {})
         if fast and d["kind"] in KINDS and isinstance(params, dict):
             # the user's keys win over the fast preset, which wins over DEFAULTS
             params = {**FAST_OVERRIDES[d["kind"]], **params}
-        return cls(
-            kind=d["kind"],
-            parameters=params,
-            output_csv=d.get("output_csv", "experiment.csv"),
-            output_svg=d.get("output_svg"),
-        )
+        return cls(**{**d, "parameters": params})
 
     def digest(self) -> str:
         payload = json.dumps(
@@ -163,35 +157,23 @@ def chorded_cycle_graph(length: int) -> DirectedSimpleGraph:
     return DirectedSimpleGraph(verts, tuple(edges))
 
 
-def _rate_row(a, s, trials, seed):
-    cfg = TrialConfig(sparsity=s, trials=trials, seed=seed)
-    return recovery_rate(np.asarray(a, dtype=float), cfg)
+def _rate_sweep(a, p, base_seed):
+    """The `_RATE` cells of each sparsity s, its trials seeded base_seed + s."""
+    for s in p["sparsities"]:
+        seed = base_seed + s
+        yield s, p["trials"], seed, recovery_rate(a, TrialConfig(s, p["trials"], seed))
 
 
 def _run_fig3(p):
-    rows = []
     for li, length in enumerate(p["cycle_lengths"]):
         g = chorded_cycle_graph(length)
         a = incidence_matrix(g).to_float_array()
-        for s in p["sparsities"]:
-            seed = p["seed"] * 10007 + li * 101 + s
-            rate = _rate_row(a, s, p["trials"], seed)
-            rows.append(
-                {
-                    "cycle_length": length,
-                    "edges": g.edge_count,
-                    "sparsity": s,
-                    "trials": p["trials"],
-                    "seed": seed,
-                    "rate": rate,
-                }
-            )
-    return ["cycle_length", "edges", "sparsity", "trials", "seed", "rate"], rows
+        for cells in _rate_sweep(a, p, p["seed"] * 10007 + li * 101):
+            yield length, g.edge_count, *cells
 
 
 def _run_fig4(p):
     p_crit = math.log(p["vertices"]) / p["vertices"]
-    rows = []
     for e_i, expo in enumerate(p["p_exponents"]):
         prob = p_crit**expo
         for gi in range(p["graphs"]):
@@ -204,25 +186,9 @@ def _run_fig4(p):
                 if s > g.edge_count:
                     continue
                 t_seed = g_seed * 31 + s
-                rate = _rate_row(a, s, p["trials"], t_seed)
-                rows.append(
-                    {
-                        "p_exponent": expo,
-                        "p": prob,
-                        "graph_seed": g_seed,
-                        "edges": g.edge_count,
-                        "sparsity": s,
-                        "trials": p["trials"],
-                        "seed": t_seed,
-                        "successes": round(rate * p["trials"]),
-                        "rate": rate,
-                    }
-                )
-    header = [
-        "p_exponent", "p", "graph_seed", "edges", "sparsity",
-        "trials", "seed", "successes", "rate",
-    ]
-    return header, rows
+                rate = recovery_rate(a, TrialConfig(s, p["trials"], t_seed))
+                yield (expo, prob, g_seed, g.edge_count, s, p["trials"], t_seed,
+                       round(rate * p["trials"]), rate)
 
 
 def _dft_masc_fraction(spec, s: int) -> float:
@@ -232,95 +198,43 @@ def _dft_masc_fraction(spec, s: int) -> float:
     blocks = _weight_blocks(spec, combinations(range(spec.n), spec.gamma_size))
     gammas, weights = (np.concatenate(parts) for parts in zip(*blocks))
     hits = 0
-    total = 0
     for sup in combinations(range(spec.n), s):
         mask = np.zeros(spec.n)
         mask[list(sup)] = 1.0
         worst = float((weights * mask[gammas]).sum(axis=1).max())
         # only the verdict is counted, so no witness is built
         hits += MembershipVerdict.from_mass(worst, lambda: None).in_masc
-        total += 1
-    return hits / total
+    return hits / math.comb(spec.n, s)
 
 
 def _run_fig5(p):
     n, mbar = p["n"], p["mbar"]
     spec = band_spec(n, mbar)
     a = realify(spec.partial_matrix())
-    rows = []
-    for s in p["sparsities"]:
-        seed = p["seed"] * 10007 + s
-        rate = _rate_row(a, s, p["trials"], seed)
-        frac = _dft_masc_fraction(spec, s)
-        rows.append(
-            {
-                "n": n,
-                "mbar": mbar,
-                "sparsity": s,
-                "trials": p["trials"],
-                "seed": seed,
-                "rate": rate,
-                "masc_fraction": frac,
-            }
-        )
-    header = ["n", "mbar", "sparsity", "trials", "seed", "rate", "masc_fraction"]
-    return header, rows
+    for cells in _rate_sweep(a, p, p["seed"] * 10007):
+        yield n, mbar, *cells, _dft_masc_fraction(spec, cells[0])
 
 
 def _run_fig6(p):
     n = p["n"]
-    rows = []
     for size in p["omega_sizes"]:
         mbar = (size - 1) // 2
         spec = band_spec(n, mbar)
         seed = p["seed"] * 10007 + size
         s_hat = s_max_sampled(spec, p["sample_size"], seed)
         bound, s_guar = coherence_lower_bound(spec)
-        rows.append(
-            {
-                "n": n,
-                "omega_size": spec.m,
-                "mbar": mbar,
-                "sample_size": p["sample_size"],
-                "seed": seed,
-                "s_max_sampled": s_hat,
-                "coherence_bound": float(bound),
-                "s_guaranteed": s_guar,
-            }
-        )
-    header = [
-        "n", "omega_size", "mbar", "sample_size", "seed",
-        "s_max_sampled", "coherence_bound", "s_guaranteed",
-    ]
-    return header, rows
+        yield n, spec.m, mbar, p["sample_size"], seed, s_hat, float(bound), s_guar
 
 
 def _run_fig7(p):
     n = p["n"]
-    rows = []
     for mbar in p["mbar_values"]:
         spec = band_spec(n, mbar)
         seed = p["seed"] * 10007 + mbar
         s_hat = s_max_sampled(spec, p["sample_size"], seed)
         bound, s_guar = coherence_lower_bound(spec)
         naive = mrsl_naive(realify(spec.partial_matrix()), p["naive_k"], seed=seed)
-        rows.append(
-            {
-                "n": n,
-                "omega_size": spec.m,
-                "mbar": mbar,
-                "seed": seed,
-                "s_guaranteed": s_guar,
-                "coherence_bound": float(bound),
-                "s_max_sampled": s_hat,
-                "mrsl_naive": naive,
-            }
-        )
-    header = [
-        "n", "omega_size", "mbar", "seed", "s_guaranteed",
-        "coherence_bound", "s_max_sampled", "mrsl_naive",
-    ]
-    return header, rows
+        yield n, spec.m, mbar, seed, s_guar, float(bound), s_hat, naive
 
 
 def _run_custom(p):
@@ -328,29 +242,7 @@ def _run_custom(p):
         raise InputError("custom experiment requires a matrix_file parameter")
     with open(p["matrix_file"]) as fh:
         a = parse_matrix_text(fh.read()).to_float_array()
-    rows = []
-    for s in p["sparsities"]:
-        seed = p["seed"] * 10007 + s
-        rate = _rate_row(a, s, p["trials"], seed)
-        rows.append(
-            {
-                "sparsity": s,
-                "trials": p["trials"],
-                "seed": seed,
-                "rate": rate,
-            }
-        )
-    return ["sparsity", "trials", "seed", "rate"], rows
-
-
-_RUNNERS = {
-    "fig3-cycles": _run_fig3,
-    "fig4-erdos-renyi": _run_fig4,
-    "fig5-dft-recovery": _run_fig5,
-    "fig6-mrsl-large": _run_fig6,
-    "fig7-mrsl-small": _run_fig7,
-    "custom": _run_custom,
-}
+    return _rate_sweep(a, p, p["seed"] * 10007)
 
 
 def _fmt(v) -> str:
@@ -362,30 +254,26 @@ def _fmt(v) -> str:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the configured sweep, write its CSV, and draw its SVG, if
     one is asked for, from the same formatted cells; return a summary."""
-    header, rows = _RUNNERS[cfg.kind](cfg.parameters)
-    cells = [[_fmt(row[h]) for h in header] for row in rows]
-    lines = [
-        f"# kind: {cfg.kind}",
-        f"# config-hash: {cfg.digest()}",
-        ",".join(header),
-    ]
-    lines += [",".join(c) for c in cells]
+    kind = _EXPERIMENTS[cfg.kind]
+    cells = [[_fmt(v) for v in row] for row in kind.run(cfg.parameters)]
+    lines = [f"# kind: {cfg.kind}", f"# config-hash: {cfg.digest()}"]
+    lines += [",".join(r) for r in [kind.columns, *cells]]
     with open(cfg.output_csv, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    summary = {"kind": cfg.kind, "rows": len(rows), "csv": cfg.output_csv}
+    summary = {"kind": cfg.kind, "rows": len(cells), "csv": cfg.output_csv}
     if cfg.output_svg is not None:
-        _emit_plot(cfg.kind, [dict(zip(header, c)) for c in cells], cfg.output_svg)
+        _emit_plot(kind, cells, cfg.output_svg)
         summary["svg"] = cfg.output_svg
     return summary
 
 
-def _emit_plot(kind: str, rows: list[dict], svg_path: str) -> None:
-    """Render the rows of a kind's CSV, as strings by column, as a standalone
-    SVG line plot or heatmap. Hand-emitted markup, byte-deterministic."""
-    if not rows:
+def _emit_plot(kind: _Kind, cells: list[list[str]], svg_path: str) -> None:
+    """Render a kind's CSV cells, by column name, as a standalone SVG line
+    plot or heatmap. Hand-emitted markup, byte-deterministic."""
+    if not cells:
         raise InputError("CSV has no data rows")
-    draw, *args = _PLOTS[kind]
-    svg = draw(rows, *args)
+    draw, *args = kind.plot
+    svg = draw([dict(zip(kind.columns, c)) for c in cells], *args)
     with open(svg_path, "w") as fh:
         fh.write(svg)
 
@@ -474,22 +362,50 @@ def _heatmap_svg(rows, xcol, ycol, vcol, title) -> str:
     return "\n".join(parts) + "\n"
 
 
+class _Kind(NamedTuple):
+    """A kind's runner, which yields one value tuple per CSV row in column
+    order; its CSV columns; its plot: a drawing function, columns, title."""
+
+    run: Callable[[dict], Iterable[tuple]]
+    columns: tuple[str, ...]
+    plot: tuple
+
+
+_RATE = ("sparsity", "trials", "seed", "rate")
 _BOUNDS = "sparsity bounds versus measurement count"
 
-# kind -> drawing function and its columns and title
-_PLOTS = {
-    "fig3-cycles": (_line_svg, "sparsity", ["rate"], "recovery rate"),
-    "fig4-erdos-renyi": (
-        _heatmap_svg, "p_exponent", "sparsity", "rate",
-        "recovery rate over Erdos-Renyi graphs",
+# KINDS and DEFAULTS list the same kinds, in this order
+_EXPERIMENTS = {
+    "fig3-cycles": _Kind(
+        _run_fig3,
+        ("cycle_length", "edges", *_RATE),
+        (_line_svg, "sparsity", ["rate"], "recovery rate"),
     ),
-    "fig5-dft-recovery": (
-        _line_svg, "sparsity", ["rate", "masc_fraction"],
-        "recovery rate and certified support fraction",
+    "fig4-erdos-renyi": _Kind(
+        _run_fig4,
+        ("p_exponent", "p", "graph_seed", "edges", "sparsity", "trials", "seed",
+         "successes", "rate"),
+        (_heatmap_svg, "p_exponent", "sparsity", "rate",
+         "recovery rate over Erdos-Renyi graphs"),
     ),
-    "fig6-mrsl-large": (_line_svg, "omega_size", ["s_guaranteed", "s_max_sampled"], _BOUNDS),
-    "fig7-mrsl-small": (
-        _line_svg, "omega_size", ["s_guaranteed", "s_max_sampled", "mrsl_naive"], _BOUNDS
+    "fig5-dft-recovery": _Kind(
+        _run_fig5,
+        ("n", "mbar", *_RATE, "masc_fraction"),
+        (_line_svg, "sparsity", ["rate", "masc_fraction"],
+         "recovery rate and certified support fraction"),
     ),
-    "custom": (_line_svg, "sparsity", ["rate"], "recovery rate"),
+    "fig6-mrsl-large": _Kind(
+        _run_fig6,
+        ("n", "omega_size", "mbar", "sample_size", "seed", "s_max_sampled",
+         "coherence_bound", "s_guaranteed"),
+        (_line_svg, "omega_size", ["s_guaranteed", "s_max_sampled"], _BOUNDS),
+    ),
+    "fig7-mrsl-small": _Kind(
+        _run_fig7,
+        ("n", "omega_size", "mbar", "seed", "s_guaranteed", "coherence_bound",
+         "s_max_sampled", "mrsl_naive"),
+        (_line_svg, "omega_size", ["s_guaranteed", "s_max_sampled", "mrsl_naive"],
+         _BOUNDS),
+    ),
+    "custom": _Kind(_run_custom, _RATE, (_line_svg, "sparsity", ["rate"], "recovery rate")),
 }

@@ -65,8 +65,7 @@ class DirectedSimpleGraph:
     def undirected(self) -> nx.Graph:
         g = nx.Graph()
         g.add_nodes_from(range(self.vertex_count))
-        for idx, (tail, head) in enumerate(self.edges):
-            g.add_edge(tail, head, index=idx)
+        g.add_edges_from(self.edges)
         return g
 
 
@@ -208,6 +207,8 @@ def erdos_renyi(vertices: int, p: float, seed: int) -> DirectedSimpleGraph:
     oriented low index to high index. Deterministic given the seed."""
     if not 0.0 <= p <= 1.0:
         raise InputError("edge probability must be in [0, 1]")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     # one double per pair, pairs in row-major order: this order fixes the
     # seeded edge lists

@@ -63,6 +63,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.sparsity < 1 or self.trials < 1:
             raise InputError("invalid trial configuration")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
 
 def realify(complex_matrix: np.ndarray) -> np.ndarray:
@@ -163,6 +165,8 @@ def mrsl_naive(a: np.ndarray, k: int, seed: int = 0) -> int:
     """
     if k < 1:
         raise InputError("sampling size must be >= 1")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     a = np.asarray(a, dtype=float)
     n = a.shape[1]
     for s in range(n, 0, -1):

@@ -164,6 +164,18 @@ class TestDftCommands:
     def test_bound_takes_no_search_options(self, option, capsys):
         assert main(["dft", "bound", "--n", "19", "--mbar", "7", option, "3"]) == 2
 
+    @pytest.mark.parametrize("cmd", ["bound", "mrsl", "masc-check"])
+    @pytest.mark.parametrize("given", [
+        ["--mbar", "7", "--omega", "0,1,18"],
+        [],
+    ], ids=["both", "neither"])
+    def test_omega_xor_mbar_usage_exit(self, cmd, given, capsys):
+        # --omega once overrode --mbar without a word
+        support = ["--support", "0"] if cmd == "masc-check" else []
+        assert main(["dft", cmd, "--n", "19", *given, *support]) == 2
+        err = capsys.readouterr().err
+        assert "--omega" in err and "--mbar" in err
+
 
 class TestBoundaryExit:
     """Exit 4: a boundary verdict under --strict, or an error with no verdict."""
@@ -239,6 +251,32 @@ class TestBadInputFiles:
                      "--seed", "1"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_negative_seed_er(self, capsys):
+        assert main(["graph", "er", "--vertices", "5", "--p", "0.5",
+                     "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_negative_seed_rate(self, matrix_file, capsys):
+        assert main(["rate", "--matrix", matrix_file, "--sparsity", "1",
+                     "--trials", "2", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    # fig3 reaches TrialConfig, fig4 erdos_renyi, fig7 mrsl_naive
+    @pytest.mark.parametrize("kind, params", [
+        ("fig3-cycles", {"cycle_lengths": [3], "trials": 2}),
+        ("fig4-erdos-renyi", {"vertices": 5, "graphs": 1, "trials": 2}),
+        ("fig7-mrsl-small", {"mbar_values": [7], "sample_size": 5, "naive_k": 1}),
+    ], ids=["fig3", "fig4", "fig7"])
+    def test_negative_seed_experiment(self, kind, params, tmp_path, capsys):
+        cfg = self._write(tmp_path, "cfg.json", json.dumps({
+            "kind": kind,
+            "parameters": {**params, "seed": -1},
+            "output_csv": str(tmp_path / "out.csv"),
+        }))
+        assert main(["experiment", "--config", cfg]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_complex_matrix_custom_experiment(self, tmp_path, capsys):
         m = self._write(tmp_path, "c.txt", "1 2\n1+0i 1\n")
         cfg = self._write(tmp_path, "cfg.json", json.dumps({
@@ -291,3 +329,16 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert "matrix_fle" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_unknown_top_level_key_usage(self, tmp_path, monkeypatch, capsys):
+        # a misspelt output_csv once wrote experiment.csv and exited 0
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "fig7-mrsl-small",
+            "parameters": {"mbar_values": [7], "sample_size": 5, "naive_k": 1},
+            "ouput_csv": "mine.csv",
+        }))
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "ouput_csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]

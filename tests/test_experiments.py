@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -6,12 +7,19 @@ import pytest
 from masckit.dft import band_spec, masc_contains_dft, symmetrize_omega
 from masckit.errors import InputError
 from masckit.experiments import (
+    _EXPERIMENTS,
+    KINDS,
     ExperimentConfig,
     _dft_masc_fraction,
     chorded_cycle_graph,
     run_experiment,
 )
 from masckit.graphs import girth
+
+
+# fig4 at the 12-vertex heatmap scale: the --fast preset takes about 35 s
+FIG4_SMALL = {"vertices": 12, "graphs": 2, "trials": 3, "sparsities": [1, 2],
+              "p_exponents": [0.5, 1.0]}
 
 
 def make_cfg(tmp_path, kind, params=None, svg=False):
@@ -32,6 +40,9 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             ExperimentConfig(kind="fig9")
+
+    def test_one_table_entry_per_kind(self):
+        assert tuple(_EXPERIMENTS) == KINDS
 
     def test_fast_preset_merges(self, tmp_path):
         cfg = make_cfg(tmp_path, "fig3-cycles")
@@ -56,6 +67,13 @@ class TestConfig:
         key = next(iter(params))
         with pytest.raises(InputError, match=key):
             make_cfg(tmp_path, kind, params)
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        # a misspelt output_csv would otherwise write experiment.csv
+        text = json.dumps({"kind": "fig7-mrsl-small",
+                           "ouput_csv": str(tmp_path / "mine.csv")})
+        with pytest.raises(InputError, match="ouput_csv"):
+            ExperimentConfig.from_json(text)
 
     @pytest.mark.parametrize("field", ["output_csv", "output_svg"])
     def test_non_string_output_rejected(self, field):
@@ -88,6 +106,35 @@ class TestRunExperiment:
         first = (tmp_path / "out.csv").read_bytes()
         run_experiment(cfg)
         assert (tmp_path / "out.csv").read_bytes() == first
+
+    # sha256 of the CSV and SVG each kind writes at its --fast preset (fig4 at
+    # FIG4_SMALL), so a swapped or reformatted column fails, not only a
+    # run-to-run difference
+    PINNED = {
+        "fig3-cycles": (
+            "d83b95df6795a1e17dea819dbe9d8d8b6fcf7f7b8c332ad3d2fa434f1a1ca597",
+            "df6fa952b114eae833ed50b162102eeb9228d35b9156ccc43aec391e009ee243"),
+        "fig4-erdos-renyi": (
+            "29f03796123d7f8be51ef9cbc3bc36f9ccb69aec593782e067f3029d76393be8",
+            "199ffca394c96838a03e18e80969277379694db9a35e7f055758d4e496c7b6f3"),
+        "fig5-dft-recovery": (
+            "66bfbb335cf62d986e6526fb4fc2f04f3778965ff825f264325047c98d5ec783",
+            "3884620f87264a0d256a26c650eb38a05192d548536b00e9bdab73b0e9613a92"),
+        "fig6-mrsl-large": (
+            "fd93ccb7c49286ae8df57ec87bea09a0f532a7dd4d4252aa70fcf04c2996408a",
+            "d058317056bf270dbee2810675ce5e1304132161fb1a21350840a73936972339"),
+        "fig7-mrsl-small": (
+            "18c0729d009d1fc93e55e69bc2530558a24175ff687957568edca1c14258ba73",
+            "7d4962b3cc59523869deb391859a443acf69a1d1fc18e6d1c215648102ee759e"),
+    }
+
+    @pytest.mark.parametrize("kind", PINNED)
+    def test_pinned_bytes(self, tmp_path, kind):
+        params = FIG4_SMALL if kind == "fig4-erdos-renyi" else {}
+        run_experiment(make_cfg(tmp_path, kind, params, svg=True))
+        for ext, sha in zip(("csv", "svg"), self.PINNED[kind]):
+            data = (tmp_path / f"out.{ext}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == sha, ext
 
     def test_fig7_ordering(self, tmp_path):
         cfg = make_cfg(
@@ -140,10 +187,7 @@ class TestEmitPlot:
         assert svg.count("<polyline") == 2
 
     def test_heatmap_rects(self, tmp_path):
-        csv, svg = self._run(tmp_path, "fig4-erdos-renyi", {
-            "vertices": 12, "graphs": 2, "trials": 3, "sparsities": [1, 2],
-            "p_exponents": [0.5, 1.0],
-        })
+        csv, svg = self._run(tmp_path, "fig4-erdos-renyi", FIG4_SMALL)
         header = csv[2].split(",")
         rows = [dict(zip(header, ln.split(","))) for ln in csv[3:]]
         cells = {(r["p_exponent"], r["sparsity"]) for r in rows}
