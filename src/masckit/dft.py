@@ -221,7 +221,16 @@ def _all_gammas(spec: PartialDFTSpec, budget: int):
 
 
 def _sample_gammas(spec: PartialDFTSpec, sample_size: int, seed: int):
-    """Distinct uniform size-(|omega|+1) subsets via Floyd's algorithm."""
+    """Distinct uniform size-(|omega|+1) subsets via Floyd's algorithm.
+
+    The arguments are checked first; a full row set (|omega| + 1 > n) has
+    no such subset, so the list is then empty.
+    """
+    if sample_size < 1:
+        raise InputError("sample_size must be >= 1")
+    if seed < 0:
+        # random.Random would take |seed| and repeat the positive seed's draws
+        raise InputError("seed must be >= 0")
     rng = random.Random(seed)
     n, k = spec.n, spec.gamma_size
     total = math.comb(n, k)
@@ -259,14 +268,11 @@ def masc_contains_dft(
     fabricating a certificate.
     """
     s = SupportSet.of(spec.n, s)
-    if sampled and sample_size < 1:
-        raise InputError("sample_size must be >= 1")
+    gammas = _sample_gammas(spec, sample_size, seed) if sampled else None
     if spec.gamma_size > spec.n:
         # full row set: trivial nullspace, every support recoverable
         return MembershipVerdict.from_mass(0.0)
-    if sampled:
-        gammas = _sample_gammas(spec, sample_size, seed)
-    else:
+    if gammas is None:
         gammas = _all_gammas(spec, budget)
     mask = np.zeros(spec.n)
     mask[list(s.indices)] = 1.0
@@ -321,11 +327,9 @@ def s_max_sampled(spec: PartialDFTSpec, sample_size: int, seed: int) -> int:
     and extends the same trajectory, so the result never grows. Row sets
     that are not bands use the uniform sample only.
     """
-    if sample_size < 1:
-        raise InputError("sample_size must be >= 1")
+    gammas = _sample_gammas(spec, sample_size, seed)
     if spec.gamma_size > spec.n:
         return spec.n
-    gammas = _sample_gammas(spec, sample_size, seed)
     best = min(int(_s_max_rows(w).min()) for _, w in _weight_blocks(spec, gammas))
     if spec.mbar is not None and len(gammas) < math.comb(spec.n, spec.gamma_size):
         evaluations = len(gammas) * (spec.n - spec.gamma_size)

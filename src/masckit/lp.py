@@ -1,8 +1,13 @@
-"""Dense two-phase revised primal simplex.
+"""Dense revised primal simplex, two-phase or from a known vertex.
 
 Small, dense equality-form LPs only (the basis-pursuit instances in this
 package). Dantzig pricing with a switch to Bland's rule after a degenerate
 stall, so cycling cannot occur. No external solver dependency.
+
+Without a start, phase 1 drives an all-artificial basis to a feasible
+vertex (basis pursuit). A caller that already holds a feasible vertex, as
+the uniqueness LP of `recovery_trial` holds x itself, passes it as `start`:
+its columns form the first basis and only phase 2 runs.
 """
 
 from __future__ import annotations
@@ -58,14 +63,23 @@ def _drop_dependent_rows(a, b):
     return ak, bk
 
 
-def solve_standard_lp(a, b, c) -> LpResult:
-    """Minimize c@x subject to a@x = b, x >= 0."""
+def solve_standard_lp(a, b, c, start=None) -> LpResult:
+    """Minimize c@x subject to a@x = b, x >= 0.
+
+    `start`, when given, must be a feasible vertex: no negative entry,
+    a@start = b within the phase-1 feasibility tolerance, and independent
+    columns under its positive entries. Phase 2 then runs from it and
+    phase 1 is skipped; a start that is not such a vertex raises
+    `SolverError`.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float)
     n_orig = a.shape[1]
     reduced = _drop_dependent_rows(a, b)
     if reduced is None:
+        if start is not None:
+            raise SolverError("start does not satisfy the equality constraints")
         return LpResult(np.zeros(n_orig), np.inf, "infeasible")
     a, b = reduced
     m, n = a.shape
@@ -76,17 +90,20 @@ def solve_standard_lp(a, b, c) -> LpResult:
     b[flip] *= -1.0
 
     full_a = np.hstack([a, np.eye(m)])
-    basis = list(range(n, n + m))
-
-    # phase 1: drive artificial variables to zero; stop as soon as the
-    # residual is below the feasibility tolerance (pivoting further only
-    # churns on the degenerate optimal face)
+    # a point is feasible when its residual sums to at most feas_tol
     feas_tol = 1e-7 * max(1.0, np.abs(b).sum())
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    allowed = np.ones(n + m, dtype=bool)
-    xb = _run_phase(full_a, c1, basis, allowed, max_iter, b, target=feas_tol)
-    if float(c1[basis] @ xb) > feas_tol:
-        return LpResult(np.zeros(n), np.inf, "infeasible")
+    if start is None:
+        # phase 1: drive artificial variables to zero; stop as soon as the
+        # residual is below the feasibility tolerance (pivoting further only
+        # churns on the degenerate optimal face)
+        basis = list(range(n, n + m))
+        c1 = np.concatenate([np.zeros(n), np.ones(m)])
+        allowed = np.ones(n + m, dtype=bool)
+        xb = _run_phase(full_a, c1, basis, allowed, max_iter, b, target=feas_tol)
+        if float(c1[basis] @ xb) > feas_tol:
+            return LpResult(np.zeros(n), np.inf, "infeasible")
+    else:
+        basis = _start_basis(a, b, start, feas_tol)
     _purge_artificials(full_a, basis, n)
 
     # phase 2: original objective, artificials may not re-enter
@@ -97,6 +114,37 @@ def solve_standard_lp(a, b, c) -> LpResult:
     x = np.zeros(n + m)
     x[basis] = np.maximum(xb, 0.0)
     return LpResult(x[:n], float(c @ x[:n]), "optimal")
+
+
+def _start_basis(a, b, start, feas_tol):
+    """Basis of a feasible vertex: its positive columns, artificials at zero.
+
+    Each positive column of `start` goes on the row that partial pivoting
+    picks for it, and artificials fill the other rows, so the basis matrix
+    is nonsingular exactly when those columns are independent. Raises
+    `SolverError` when `start` is not a feasible vertex of a@x = b, x >= 0.
+    """
+    m, n = a.shape
+    start = np.asarray(start, dtype=float)
+    if start.shape != (n,) or not np.all(start >= 0.0):
+        raise SolverError("start has a negative or missing entry")
+    if np.abs(a @ start - b).sum() > feas_tol:
+        raise SolverError("start does not satisfy the equality constraints")
+    support = np.flatnonzero(start > 0.0)
+    if support.size > m:
+        raise SolverError("start columns are dependent")
+    basis = list(range(n, n + m))
+    work = a[:, support].copy()
+    free = np.ones(m, dtype=bool)
+    for j, col in enumerate(support):
+        mag = np.where(free, np.abs(work[:, j]), -1.0)
+        r = int(np.argmax(mag))
+        if mag[r] <= PIVOT_TOL * np.abs(a[:, col]).max():
+            raise SolverError("start columns are dependent")
+        free[r] = False
+        basis[r] = int(col)
+        work[free, j + 1:] -= np.outer(work[free, j] / work[r, j], work[r, j + 1:])
+    return basis
 
 
 def _purge_artificials(full_a, basis, n):

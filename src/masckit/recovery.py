@@ -2,10 +2,11 @@
 recovery harness used by all experiments.
 
 Basis pursuit is the split-variable LP min sum(u+v) s.t. A(u-v)=y, u,v>=0,
-solved by the in-package simplex. A recovery trial does not solve it: it
-decides whether x is the unique l1 minimizer by a dual certificate (Fuchs
-2004), and only when that is inconclusive by one LP, the uniqueness test of
-Mangasarian (1979). Randomness comes from numpy's PCG64 generator; each
+solved by the in-package two-phase simplex. A recovery trial does not solve
+it: it decides whether x is the unique l1 minimizer by a dual certificate
+(Fuchs 2004), and only when that is inconclusive by one LP, the uniqueness
+test of Mangasarian (1979), which starts at the vertex x and runs phase 2
+only. Randomness comes from numpy's PCG64 generator; each
 trial draws from a stream seeded by SeedSequence((seed, trial)) so results
 are reproducible and trials are independent.
 """
@@ -99,8 +100,10 @@ def recovery_trial(a: np.ndarray, x_true: np.ndarray) -> bool:
     decide, step 2 solves one LP (Mangasarian 1979): the largest off-support
     mass sum_{j not in S} (u_j + v_j) over a(u - v) = a x_true,
     sum(u + v) <= ||x_true||_1, u, v >= 0. With a_S of full column rank,
-    x_true is unique iff that mass is zero. Ties (non-unique minimizers)
-    count as failures.
+    x_true is unique iff that mass is zero. x_true itself (u = x_true+,
+    v = x_true-, slack 0) is a vertex of that LP, since step 1 checked the
+    rank, so the simplex starts there and runs phase 2 only. Ties
+    (non-unique minimizers) count as failures.
     """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x_true, dtype=float)
@@ -123,9 +126,9 @@ def recovery_trial(a: np.ndarray, x_true: np.ndarray) -> bool:
     lhs[:m, n:2 * n] = -a
     lhs[m] = 1.0
     cost = np.append(np.tile(np.where(on, 0.0, -1.0), 2), 0.0)
-    res = solve_standard_lp(lhs, np.append(a @ x, l1), cost)
-    if res.status == "infeasible":
-        raise SolverError("uniqueness LP reported infeasible at a feasible point")
+    # x itself is a vertex: u = x+, v = x-, slack 0, on independent columns
+    start = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0), [0.0]])
+    res = solve_standard_lp(lhs, np.append(a @ x, l1), cost, start=start)
     return -res.objective <= UNIQUE_MASS_TOL * l1
 
 

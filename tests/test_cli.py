@@ -261,12 +261,25 @@ class TestBadInputFiles:
                      "--trials", "2", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
-    # fig3 reaches TrialConfig, fig4 erdos_renyi, fig7 mrsl_naive
+    # the Gamma sampler would draw as for |seed|
+    @pytest.mark.parametrize("args", [
+        ["mrsl"],
+        ["masc-check", "--support", "1,2", "--sampled"],
+    ], ids=["mrsl", "masc-check"])
+    def test_negative_seed_dft(self, args, capsys):
+        assert main(["dft", *args, "--n", "19", "--mbar", "7", "--samples", "50",
+                     "--seed", "-3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "seed" in out.err
+
+    # fig3 reaches TrialConfig, fig4 erdos_renyi, fig6 the Gamma sampler,
+    # fig7 mrsl_naive
     @pytest.mark.parametrize("kind, params", [
         ("fig3-cycles", {"cycle_lengths": [3], "trials": 2}),
         ("fig4-erdos-renyi", {"vertices": 5, "graphs": 1, "trials": 2}),
+        ("fig6-mrsl-large", {"omega_sizes": [247], "sample_size": 5}),
         ("fig7-mrsl-small", {"mbar_values": [7], "sample_size": 5, "naive_k": 1}),
-    ], ids=["fig3", "fig4", "fig7"])
+    ], ids=["fig3", "fig4", "fig6", "fig7"])
     def test_negative_seed_experiment(self, kind, params, tmp_path, capsys):
         cfg = self._write(tmp_path, "cfg.json", json.dumps({
             "kind": kind,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -28,6 +28,8 @@ def test_infeasible():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     res = solve_standard_lp(a, np.array([1.0, 2.0]), np.ones(2))
     assert res.status == "infeasible"
+    with pytest.raises(SolverError, match="equality"):
+        solve_standard_lp(a, np.array([1.0, 2.0]), np.ones(2), start=np.array([1.0, 0.0]))
 
 
 def test_unbounded_raises():
@@ -104,3 +106,68 @@ def test_drop_dependent_rows_inconsistent():
     assert _drop_dependent_rows(a, np.array([1.0, 3.0, 1.0])) is None
     ak, bk = _drop_dependent_rows(a, np.array([1.0, 2.0, 1.0]))
     assert np.array_equal(ak, a[[0, 2]]) and np.array_equal(bk, [1.0, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5), st.integers(2, 9))
+def test_start_against_scipy(seed, m, n):
+    # a random vertex: positive values on independent columns, zero elsewhere
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-4, 5, size=(m, n)).astype(float)
+    k = int(rng.integers(1, min(m, n) + 1))
+    support = rng.choice(n, size=k, replace=False)
+    assume(np.linalg.matrix_rank(a[:, support]) == k)
+    start = np.zeros(n)
+    start[support] = rng.random(k) + 0.1
+    b = a @ start
+    c = rng.integers(0, 6, size=n).astype(float)
+    res = solve_standard_lp(a, b, c, start=start)
+    ref = linprog(c, A_eq=a, b_eq=b)
+    assert res.status == "optimal" and ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert np.allclose(a @ res.x, b, atol=1e-7)
+    assert np.all(res.x >= -1e-9)
+
+
+def test_start_with_dependent_rows():
+    # realified band rows: 30 rows of rank 15; basis pursuit from x = (x+, x-)
+    a = realify(band_spec(19, 7).partial_matrix())
+    x = np.zeros(19)
+    x[[2, 9, 13]] = [0.8, -0.5, 0.3]
+    split = np.hstack([a, -a])
+    start = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)])
+    b = a @ x
+    res = solve_standard_lp(split, b, np.ones(38), start=start)
+    ref = linprog(np.ones(38), A_eq=split, b_eq=b)
+    assert res.status == "optimal" and ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert np.allclose(split @ res.x, b, atol=1e-7)
+
+
+def test_degenerate_start():
+    # one positive entry on three rows: two basic variables start at zero
+    a = np.array([[1.0, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]])
+    start = np.array([2.0, 0.0, 0.0, 0.0])
+    b = a @ start
+    c = np.array([3.0, 0.0, 0.0, 1.0])
+    res = solve_standard_lp(a, b, c, start=start)
+    ref = linprog(c, A_eq=a, b_eq=b)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(ref.fun) and res.objective < c @ start
+    assert np.allclose(a @ res.x, b)
+
+
+@pytest.mark.parametrize(
+    "start, match",
+    [
+        ([1.0, 1.0, 1.0], "equality"),  # a @ start != b
+        ([4.0, -1.0, 0.0], "negative"),  # a @ start == b with a negative entry
+        ([1.0, 0.5, 0.0], "dependent"),  # feasible, on dependent columns 0 and 1
+        ([0.0, 0.0], "missing"),  # wrong length
+    ],
+    ids=["off-rows", "negative", "dependent", "shape"],
+)
+def test_start_that_is_not_a_vertex_raises(start, match):
+    a = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])
+    with pytest.raises(SolverError, match=match):
+        solve_standard_lp(a, np.array([2.0, 4.0]), np.ones(3), start=np.array(start))

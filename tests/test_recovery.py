@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import masckit.lp
 import masckit.recovery
+from masckit.dft import band_spec
 from masckit.errors import InputError, SolverError
 from masckit.graphs import DirectedSimpleGraph, erdos_renyi, incidence_matrix
 from masckit.recovery import (
@@ -156,7 +158,7 @@ class TestRecoveryTrial:
     def test_one_sparse_on_graphs_needs_no_lp(self, monkeypatch, chain_graph):
         # on a simple graph w0 = sign(x_e) (e_head - e_tail) / 2 gives 1/2 on
         # every edge that meets e, so step 1 decides every 1-sparse trial
-        def no_lp(*args):
+        def no_lp(*args, **kwargs):
             raise AssertionError("LP solved")
 
         monkeypatch.setattr(masckit.recovery, "solve_standard_lp", no_lp)
@@ -167,6 +169,21 @@ class TestRecoveryTrial:
                 x = np.zeros(g.edge_count)
                 x[e] = value
                 assert recovery_trial(a, x)
+
+    def test_uniqueness_lp_starts_at_x(self, monkeypatch):
+        # step 1 leaves this trial undecided; the LP starts at the vertex x
+        # and runs phase 2 only, with no phase-1 target
+        calls = []
+        run_phase = masckit.lp._run_phase
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return run_phase(*args, **kwargs)
+
+        monkeypatch.setattr(masckit.lp, "_run_phase", spy)
+        a = realify(band_spec(19, 7).partial_matrix())
+        assert recovery_trial(a, random_sparse_signal(19, 5, (0, 0)))
+        assert len(calls) == 1 and "target" not in calls[0]
 
     def test_input_checks(self):
         with pytest.raises(InputError):
