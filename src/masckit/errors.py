@@ -19,4 +19,5 @@ class NumericalBoundaryError(MasckitError):
 
 
 class SolverError(MasckitError):
-    """LP solver failure (infeasibility, iteration limit)."""
+    """LP solver failure (a start that is not a feasible vertex, iteration
+    limit)."""

@@ -1,13 +1,13 @@
-"""Dense revised primal simplex, two-phase or from a known vertex.
+"""Dense revised primal simplex from a known vertex.
 
 Small, dense equality-form LPs only (the basis-pursuit instances in this
 package). Dantzig pricing with a switch to Bland's rule after a degenerate
 stall, so cycling cannot occur. No external solver dependency.
 
-Without a start, phase 1 drives an all-artificial basis to a feasible
-vertex (basis pursuit). A caller that already holds a feasible vertex, as
-the uniqueness LP of `recovery_trial` holds x itself, passes it as `start`:
-its columns form the first basis and only phase 2 runs.
+Every caller holds a feasible vertex and passes it as `start`: the
+uniqueness LP of `recovery_trial` starts at x itself, basis pursuit at a
+basic solution split by sign. The start's columns form the first basis,
+so the simplex runs one phase, on the caller's objective.
 """
 
 from __future__ import annotations
@@ -28,19 +28,18 @@ STALL_LIMIT = 50
 class LpResult:
     x: np.ndarray
     objective: float
-    status: str  # "optimal" or "infeasible"
 
 
 def _drop_dependent_rows(a, b):
-    """Keep a maximal independent row set; dependent rows must be consistent.
+    """Keep a maximal independent row set; returns (a, b) on those rows.
 
     Dependent equality rows (common after realifying conjugate-symmetric
     complex matrices) leave artificial variables stuck at zero and can drive
     the basis singular, so they are removed up front. Row i is kept when its
     residual off the span of the rows before it exceeds 1e-10 of
     max(||a_i||, 1). The projection onto the kept rows' orthonormal basis is
-    applied twice, which keeps that basis orthonormal to rounding. Returns
-    (a, b) reduced, or None when a dropped row contradicts the kept ones.
+    applied twice, which keeps that basis orthonormal to rounding. The
+    dropped rows need no consistency check: the start satisfies every row.
     """
     m, n = a.shape
     q = np.empty((min(m, n), n))
@@ -54,82 +53,46 @@ def _drop_dependent_rows(a, b):
             keep[i] = True
             q[k] = r / norm
             k += 1
-    if keep.all():
-        return a, b
-    ak, bk = a[keep], b[keep]
-    coef, *_ = np.linalg.lstsq(ak.T, a[~keep].T, rcond=None)
-    if np.any(np.abs(coef.T @ bk - b[~keep]) > 1e-7 * max(1.0, np.abs(b).max())):
-        return None
-    return ak, bk
+    return a[keep], b[keep]
 
 
-def solve_standard_lp(a, b, c, start=None) -> LpResult:
-    """Minimize c@x subject to a@x = b, x >= 0.
+def solve_standard_lp(a, b, c, start) -> LpResult:
+    """Minimize c@x subject to a@x = b, x >= 0, from the vertex `start`.
 
-    `start`, when given, must be a feasible vertex: no negative entry,
-    a@start = b within the phase-1 feasibility tolerance, and independent
-    columns under its positive entries. Phase 2 then runs from it and
-    phase 1 is skipped; a start that is not such a vertex raises
-    `SolverError`.
+    `start` must be a feasible vertex: no negative entry, a@start = b with
+    residual sum at most 1e-7 max(1, ||b||_1), and independent columns
+    under its positive entries. A start that is not such a vertex raises
+    `SolverError`; so do rows that no point satisfies.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    n_orig = a.shape[1]
-    reduced = _drop_dependent_rows(a, b)
-    if reduced is None:
-        if start is not None:
-            raise SolverError("start does not satisfy the equality constraints")
-        return LpResult(np.zeros(n_orig), np.inf, "infeasible")
-    a, b = reduced
+    start = np.asarray(start, dtype=float)
+    if start.shape != (a.shape[1],) or not np.all(start >= 0.0):
+        raise SolverError("start has a negative or missing entry")
+    if np.abs(a @ start - b).sum() > 1e-7 * max(1.0, np.abs(b).sum()):
+        raise SolverError("start does not satisfy the equality constraints")
+    a, b = _drop_dependent_rows(a, b)
     m, n = a.shape
     max_iter = 2000 + 30 * m + n
-    flip = b < 0
-    a = a.copy()
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
     full_a = np.hstack([a, np.eye(m)])
-    # a point is feasible when its residual sums to at most feas_tol
-    feas_tol = 1e-7 * max(1.0, np.abs(b).sum())
-    if start is None:
-        # phase 1: drive artificial variables to zero; stop as soon as the
-        # residual is below the feasibility tolerance (pivoting further only
-        # churns on the degenerate optimal face)
-        basis = list(range(n, n + m))
-        c1 = np.concatenate([np.zeros(n), np.ones(m)])
-        allowed = np.ones(n + m, dtype=bool)
-        xb = _run_phase(full_a, c1, basis, allowed, max_iter, b, target=feas_tol)
-        if float(c1[basis] @ xb) > feas_tol:
-            return LpResult(np.zeros(n), np.inf, "infeasible")
-    else:
-        basis = _start_basis(a, b, start, feas_tol)
+    basis = _start_basis(a, start)
     _purge_artificials(full_a, basis, n)
-
-    # phase 2: original objective, artificials may not re-enter
-    c2 = np.concatenate([c, np.zeros(m)])
-    allowed = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-    xb = _run_phase(full_a, c2, basis, allowed, max_iter, b)
-
+    xb = _run_phase(full_a, np.concatenate([c, np.zeros(m)]), basis, max_iter, b)
     x = np.zeros(n + m)
     x[basis] = np.maximum(xb, 0.0)
-    return LpResult(x[:n], float(c @ x[:n]), "optimal")
+    return LpResult(x[:n], float(c @ x[:n]))
 
 
-def _start_basis(a, b, start, feas_tol):
+def _start_basis(a, start):
     """Basis of a feasible vertex: its positive columns, artificials at zero.
 
     Each positive column of `start` goes on the row that partial pivoting
     picks for it, and artificials fill the other rows, so the basis matrix
     is nonsingular exactly when those columns are independent. Raises
-    `SolverError` when `start` is not a feasible vertex of a@x = b, x >= 0.
+    `SolverError` when they are not.
     """
     m, n = a.shape
-    start = np.asarray(start, dtype=float)
-    if start.shape != (n,) or not np.all(start >= 0.0):
-        raise SolverError("start has a negative or missing entry")
-    if np.abs(a @ start - b).sum() > feas_tol:
-        raise SolverError("start does not satisfy the equality constraints")
     support = np.flatnonzero(start > 0.0)
     if support.size > m:
         raise SolverError("start columns are dependent")
@@ -152,7 +115,8 @@ def _purge_artificials(full_a, basis, n):
 
     The constraint rows are independent, so every basis row admits a
     structural pivot; degenerate pivots at value zero keep the solution
-    unchanged while guaranteeing phase 2 cannot move an artificial off zero.
+    unchanged while guaranteeing the simplex cannot move an artificial off
+    zero.
     """
     m = full_a.shape[0]
     for i in range(m):
@@ -169,13 +133,16 @@ def _purge_artificials(full_a, basis, n):
             basis[i] = j
 
 
-def _run_phase(full_a, cvec, basis, allowed, max_iter, b, target=-np.inf):
+def _run_phase(full_a, cvec, basis, max_iter, b):
     """Revised simplex iterations, refactoring the basis every step.
 
     Factorizing ``full_a[:, basis]`` each iteration costs O(m^3) but removes
     the numerical drift of maintained product-form inverses; the bases here
-    are small enough that robustness wins. Returns the basic solution.
+    are small enough that robustness wins. Only the structural columns are
+    priced, so the m artificial columns at the end never enter. Returns the
+    basic solution.
     """
+    n = full_a.shape[1] - full_a.shape[0]
     stall = 0
     best_obj = np.inf
     for _ in range(max_iter):
@@ -185,13 +152,9 @@ def _run_phase(full_a, cvec, basis, allowed, max_iter, b, target=-np.inf):
             y = np.linalg.solve(b_mat.T, cvec[basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis matrix") from exc
-        if float(cvec[basis] @ xb) <= target:
-            return xb
         reduced = cvec - y @ full_a
         reduced[basis] = 0.0
-        eligible = allowed & (reduced < -PIVOT_TOL)
-        eligible[basis] = False
-        cand = np.flatnonzero(eligible)
+        cand = np.flatnonzero(reduced[:n] < -PIVOT_TOL)
         if cand.size == 0:
             return xb
         obj = float(cvec[basis] @ xb)

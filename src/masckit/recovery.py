@@ -2,11 +2,11 @@
 recovery harness used by all experiments.
 
 Basis pursuit is the split-variable LP min sum(u+v) s.t. A(u-v)=y, u,v>=0,
-solved by the in-package two-phase simplex. A recovery trial does not solve
-it: it decides whether x is the unique l1 minimizer by a dual certificate
-(Fuchs 2004), and only when that is inconclusive by one LP, the uniqueness
-test of Mangasarian (1979), which starts at the vertex x and runs phase 2
-only. Randomness comes from numpy's PCG64 generator; each
+solved by the in-package simplex from a basic solution of Ax = y split by
+sign. A recovery trial does not solve it: it decides whether x is the
+unique l1 minimizer by a dual certificate (Fuchs 2004), and only when that
+is inconclusive by one LP, the uniqueness test of Mangasarian (1979), which
+starts at the vertex x. Randomness comes from numpy's PCG64 generator; each
 trial draws from a stream seeded by SeedSequence((seed, trial)) so results
 are reproducible and trials are independent.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import InputError
 from .lp import solve_standard_lp
 
 __all__ = [
@@ -77,17 +77,48 @@ def realify(complex_matrix: np.ndarray) -> np.ndarray:
     return np.vstack([c.real, c.imag])
 
 
+def _independent_columns(a: np.ndarray) -> list[int]:
+    """Indices of columns of `a` that span its range, by pivoted Gram-Schmidt.
+
+    Each step takes the column with the largest residual off the span of
+    the columns taken so far, among those whose residual exceeds 1e-10 of
+    max(||a_j||, 1), the rank rule of the LP's row presolve. Residuals are
+    projected from scratch, twice, so the basis stays orthonormal to
+    rounding.
+    """
+    m, n = a.shape
+    floor = 1e-10 * np.maximum(np.linalg.norm(a, axis=0), 1.0)
+    q = np.empty((0, m))
+    cols: list[int] = []
+    while len(cols) < min(m, n):
+        r = a - q.T @ (q @ a)
+        r -= q.T @ (q @ r)
+        norms = np.linalg.norm(r, axis=0)
+        norms[norms <= floor] = 0.0
+        j = int(np.argmax(norms))
+        if norms[j] == 0.0:
+            break
+        cols.append(j)
+        q = np.vstack([q, r[:, j] / norms[j]])
+    return cols
+
+
 def basis_pursuit(problem: RecoveryProblem) -> np.ndarray:
     """Solve min ||x||_1 s.t. measurement @ x = observed; returns x_hat.
 
     When the minimizer is not unique, x_hat is one of them; `recovery_trial`
-    decides uniqueness.
+    decides uniqueness. The simplex starts at x0 split by sign, where x0
+    solves the system on independent columns and is zero elsewhere: a basic
+    solution, so (x0+, x0-) is a vertex. An observed vector outside the
+    range of the matrix raises `SolverError`, since x0 misses it.
     """
     a = problem.measurement
     n = a.shape[1]
-    res = solve_standard_lp(np.hstack([a, -a]), problem.observed, np.ones(2 * n))
-    if res.status == "infeasible":
-        raise SolverError("observed vector is outside the range of the matrix")
+    cols = _independent_columns(a)
+    x0 = np.zeros(n)
+    x0[cols] = np.linalg.lstsq(a[:, cols], problem.observed, rcond=None)[0]
+    start = np.concatenate([np.maximum(x0, 0.0), np.maximum(-x0, 0.0)])
+    res = solve_standard_lp(np.hstack([a, -a]), problem.observed, np.ones(2 * n), start)
     return res.x[:n] - res.x[n:]
 
 
@@ -102,7 +133,7 @@ def recovery_trial(a: np.ndarray, x_true: np.ndarray) -> bool:
     sum(u + v) <= ||x_true||_1, u, v >= 0. With a_S of full column rank,
     x_true is unique iff that mass is zero. x_true itself (u = x_true+,
     v = x_true-, slack 0) is a vertex of that LP, since step 1 checked the
-    rank, so the simplex starts there and runs phase 2 only. Ties
+    rank, so the simplex starts there. Ties
     (non-unique minimizers) count as failures.
     """
     a = np.asarray(a, dtype=float)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import types
 
 import numpy as np
@@ -76,6 +78,17 @@ def test_package_reexports_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PACKAGE_NAMES
+
+
+def test_lp_signature_pinned():
+    # every LP starts at a vertex the caller holds: `start` has no default,
+    # and a result is always optimal, so it carries no status
+    params = inspect.signature(masckit.lp.solve_standard_lp).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        (name, inspect.Parameter.empty) for name in ("a", "b", "c", "start")
+    ]
+    fields = dataclasses.fields(masckit.lp.LpResult)
+    assert [f.name for f in fields] == ["x", "objective"]
 
 
 def test_benchmark_calls_on_changed_types():

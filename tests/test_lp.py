@@ -13,57 +13,43 @@ from masckit.recovery import realify
 
 def test_simple_feasible():
     # min x0 + x1 s.t. x0 + x1 = 1
-    res = solve_standard_lp(np.array([[1.0, 1.0]]), np.array([1.0]), np.ones(2))
-    assert res.status == "optimal"
+    a = np.array([[1.0, 1.0]])
+    res = solve_standard_lp(a, np.array([1.0]), np.ones(2), np.array([1.0, 0.0]))
     assert res.objective == pytest.approx(1.0)
 
 
 def test_negative_rhs_flip():
-    res = solve_standard_lp(np.array([[-1.0, -1.0]]), np.array([-1.0]), np.ones(2))
-    assert res.status == "optimal"
+    # a negative right-hand side needs no row flip when the start is given
+    a = np.array([[-1.0, -1.0]])
+    res = solve_standard_lp(a, np.array([-1.0]), np.array([1.0, 2.0]), np.array([0.0, 1.0]))
     assert res.objective == pytest.approx(1.0)
+    assert np.allclose(res.x, [1.0, 0.0])
 
 
 def test_infeasible():
+    # inconsistent rows: no start satisfies them
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    res = solve_standard_lp(a, np.array([1.0, 2.0]), np.ones(2))
-    assert res.status == "infeasible"
     with pytest.raises(SolverError, match="equality"):
-        solve_standard_lp(a, np.array([1.0, 2.0]), np.ones(2), start=np.array([1.0, 0.0]))
+        solve_standard_lp(a, np.array([1.0, 2.0]), np.ones(2), np.array([1.0, 0.0]))
 
 
 def test_unbounded_raises():
+    a = np.array([[1.0, -1.0]])
     with pytest.raises(SolverError):
-        solve_standard_lp(np.array([[1.0, -1.0]]), np.array([0.0]), np.array([-1.0, 0.0]))
+        solve_standard_lp(a, np.array([0.0]), np.array([-1.0, 0.0]), np.zeros(2))
 
 
 def test_redundant_rows():
     # duplicated constraint keeps an artificial basic at zero; still optimal
     a = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([2.0, 2.0, 1.0])
-    res = solve_standard_lp(a, b, np.array([1.0, 1.0, 1.0]))
-    assert res.status == "optimal"
+    res = solve_standard_lp(a, b, np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0, 1.0]))
+    assert res.objective == pytest.approx(1.0)
     assert np.allclose(a @ res.x, b, atol=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 5), st.integers(2, 9))
-def test_against_scipy(seed, m, n):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(-4, 5, size=(m, n)).astype(float)
-    x_feas = rng.random(n)  # guarantees feasibility
-    b = a @ x_feas
-    c = rng.integers(0, 6, size=n).astype(float)  # nonneg cost: bounded
-    res = solve_standard_lp(a, b, c)
-    ref = linprog(c, A_eq=a, b_eq=b)
-    assert res.status == "optimal" and ref.status == 0
-    assert res.objective == pytest.approx(ref.fun, abs=1e-7)
-    assert np.allclose(a @ res.x, b, atol=1e-7)
-    assert np.all(res.x >= -1e-9)
-
-
 def test_result_type():
-    res = solve_standard_lp(np.eye(2), np.ones(2), np.ones(2))
+    res = solve_standard_lp(np.eye(2), np.ones(2), np.ones(2), np.ones(2))
     assert isinstance(res, LpResult)
     assert np.allclose(res.x, [1.0, 1.0])
 
@@ -101,13 +87,6 @@ def test_drop_dependent_rows_matches_gram_schmidt(a):
     assert np.array_equal(ak, a[kept]) and np.array_equal(bk, b[kept])
 
 
-def test_drop_dependent_rows_inconsistent():
-    a = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 1.0]])
-    assert _drop_dependent_rows(a, np.array([1.0, 3.0, 1.0])) is None
-    ak, bk = _drop_dependent_rows(a, np.array([1.0, 2.0, 1.0]))
-    assert np.array_equal(ak, a[[0, 2]]) and np.array_equal(bk, [1.0, 1.0])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(2, 9))
 def test_start_against_scipy(seed, m, n):
@@ -123,7 +102,7 @@ def test_start_against_scipy(seed, m, n):
     c = rng.integers(0, 6, size=n).astype(float)
     res = solve_standard_lp(a, b, c, start=start)
     ref = linprog(c, A_eq=a, b_eq=b)
-    assert res.status == "optimal" and ref.status == 0
+    assert ref.status == 0
     assert res.objective == pytest.approx(ref.fun, abs=1e-7)
     assert np.allclose(a @ res.x, b, atol=1e-7)
     assert np.all(res.x >= -1e-9)
@@ -139,7 +118,7 @@ def test_start_with_dependent_rows():
     b = a @ x
     res = solve_standard_lp(split, b, np.ones(38), start=start)
     ref = linprog(np.ones(38), A_eq=split, b_eq=b)
-    assert res.status == "optimal" and ref.status == 0
+    assert ref.status == 0
     assert res.objective == pytest.approx(ref.fun, abs=1e-7)
     assert np.allclose(split @ res.x, b, atol=1e-7)
 
@@ -152,7 +131,6 @@ def test_degenerate_start():
     c = np.array([3.0, 0.0, 0.0, 1.0])
     res = solve_standard_lp(a, b, c, start=start)
     ref = linprog(c, A_eq=a, b_eq=b)
-    assert res.status == "optimal"
     assert res.objective == pytest.approx(ref.fun) and res.objective < c @ start
     assert np.allclose(a @ res.x, b)
 

@@ -75,8 +75,38 @@ class TestBasisPursuit:
 
     def test_infeasible_raises(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="equality"):
             basis_pursuit(RecoveryProblem(a, np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            realify(band_spec(19, 7).partial_matrix()),
+            realify(band_spec(61, 15).partial_matrix()),
+            incidence_matrix(erdos_renyi(30, 0.2, 3)).to_float_array(),  # rank m - 1
+            np.array(
+                [
+                    [1.0, -2.0, 0.5, 1.0, 2.0, 0.0],
+                    [0.0, 1.0, 3.0, 0.0, 0.0, 1.0],
+                    [2.0, 1.0, -1.0, 2.0, 4.0, -1.0],
+                ]
+            ),  # column 3 repeats column 0, column 4 scales it by 2
+        ],
+        ids=["band19", "band61", "incidence", "repeated-scaled"],
+    )
+    def test_against_linprog(self, a):
+        # the start is a basic solution on independent columns, which these
+        # matrices make hard to pick: dependent rows, rank m - 1, parallel
+        # columns
+        m, n = a.shape
+        for t in range(5):
+            x_true = random_sparse_signal(n, max(1, m // 4), (m, n, t))
+            y = a @ x_true
+            x = basis_pursuit(RecoveryProblem(a, y))
+            ref = linprog(np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=y)
+            assert ref.status == 0
+            assert np.abs(x).sum() == pytest.approx(ref.fun, abs=1e-9)
+            assert np.allclose(a @ x, y, atol=1e-9)
 
     def test_optimality_certificate(self):
         rng = np.random.default_rng(5)
@@ -170,20 +200,29 @@ class TestRecoveryTrial:
                 x[e] = value
                 assert recovery_trial(a, x)
 
-    def test_uniqueness_lp_starts_at_x(self, monkeypatch):
-        # step 1 leaves this trial undecided; the LP starts at the vertex x
-        # and runs phase 2 only, with no phase-1 target
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            recovery_trial,
+            lambda a, x: np.allclose(basis_pursuit(RecoveryProblem(a, a @ x)), x, atol=1e-9),
+        ],
+        ids=["recovery_trial", "basis_pursuit"],
+    )
+    def test_lp_starts_at_a_vertex(self, monkeypatch, solve):
+        # step 1 leaves this trial undecided, so recovery_trial solves the
+        # uniqueness LP from x; basis pursuit starts from a basic solution.
+        # Either way the simplex runs once, from the start it is given
         calls = []
         run_phase = masckit.lp._run_phase
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return run_phase(*args, **kwargs)
+        def spy(*args):
+            calls.append(args)
+            return run_phase(*args)
 
         monkeypatch.setattr(masckit.lp, "_run_phase", spy)
         a = realify(band_spec(19, 7).partial_matrix())
-        assert recovery_trial(a, random_sparse_signal(19, 5, (0, 0)))
-        assert len(calls) == 1 and "target" not in calls[0]
+        assert solve(a, random_sparse_signal(19, 5, (0, 0)))
+        assert len(calls) == 1
 
     def test_input_checks(self):
         with pytest.raises(InputError):
