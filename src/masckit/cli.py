@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error, 3 scale or budget exceeded, 4 numerical
-boundary: a boundary verdict under --strict, or an error that left no verdict.
+boundary: a boundary verdict under --strict, or an error that left no verdict
+(a float nullspace that is not a line, or an LP solver failure).
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from .dft import (
     s_max_sampled,
     symmetrize_omega,
 )
-from .errors import BudgetExceededError, InputError, NumericalBoundaryError
+from .errors import (
+    BudgetExceededError,
+    InputError,
+    NumericalBoundaryError,
+    SolverError,
+)
 from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
     DEFAULT_CYCLE_CAP,
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except NumericalBoundaryError as exc:
+    except (NumericalBoundaryError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY
     except (InputError, OSError, json.JSONDecodeError) as exc:

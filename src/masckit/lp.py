@@ -6,8 +6,9 @@ stall, so cycling cannot occur. No external solver dependency.
 
 Every caller holds a feasible vertex and passes it as `start`: the
 uniqueness LP of `recovery_trial` starts at x itself, basis pursuit at a
-basic solution split by sign. The start's columns form the first basis,
-so the simplex runs one phase, on the caller's objective.
+basic solution split by sign. One Gaussian elimination (`_start_basis`)
+drops dependent rows and completes the start's columns to the first
+basis, so the simplex runs one phase, on the caller's objective.
 """
 
 from __future__ import annotations
@@ -30,38 +31,12 @@ class LpResult:
     objective: float
 
 
-def _drop_dependent_rows(a, b):
-    """Keep a maximal independent row set; returns (a, b) on those rows.
-
-    Dependent equality rows (common after realifying conjugate-symmetric
-    complex matrices) leave artificial variables stuck at zero and can drive
-    the basis singular, so they are removed up front. Row i is kept when its
-    residual off the span of the rows before it exceeds 1e-10 of
-    max(||a_i||, 1). The projection onto the kept rows' orthonormal basis is
-    applied twice, which keeps that basis orthonormal to rounding. The
-    dropped rows need no consistency check: the start satisfies every row.
-    """
-    m, n = a.shape
-    q = np.empty((min(m, n), n))
-    keep = np.zeros(m, dtype=bool)
-    k = 0
-    for i, row in enumerate(a):
-        r = row - (q[:k] @ row) @ q[:k]
-        r -= (q[:k] @ r) @ q[:k]
-        norm = np.linalg.norm(r)
-        if norm > 1e-10 * max(np.linalg.norm(row), 1.0):
-            keep[i] = True
-            q[k] = r / norm
-            k += 1
-    return a[keep], b[keep]
-
-
 def solve_standard_lp(a, b, c, start) -> LpResult:
     """Minimize c@x subject to a@x = b, x >= 0, from the vertex `start`.
 
     `start` must be a feasible vertex: no negative entry, a@start = b with
-    residual sum at most 1e-7 max(1, ||b||_1), and independent columns
-    under its positive entries. A start that is not such a vertex raises
+    residual sum at most 1e-7 ||b||_1, and independent columns under its
+    positive entries. A start that is not such a vertex raises
     `SolverError`; so do rows that no point satisfies.
     """
     a = np.asarray(a, dtype=float)
@@ -70,91 +45,81 @@ def solve_standard_lp(a, b, c, start) -> LpResult:
     start = np.asarray(start, dtype=float)
     if start.shape != (a.shape[1],) or not np.all(start >= 0.0):
         raise SolverError("start has a negative or missing entry")
-    if np.abs(a @ start - b).sum() > 1e-7 * max(1.0, np.abs(b).sum()):
+    if np.abs(a @ start - b).sum() > 1e-7 * np.abs(b).sum():
         raise SolverError("start does not satisfy the equality constraints")
-    a, b = _drop_dependent_rows(a, b)
-    m, n = a.shape
-    max_iter = 2000 + 30 * m + n
-    full_a = np.hstack([a, np.eye(m)])
-    basis = _start_basis(a, start)
-    _purge_artificials(full_a, basis, n)
-    xb = _run_phase(full_a, np.concatenate([c, np.zeros(m)]), basis, max_iter, b)
-    x = np.zeros(n + m)
+    rows, basis = _start_basis(a, np.flatnonzero(start > 0.0))
+    n = a.shape[1]
+    max_iter = 2000 + 30 * len(rows) + n
+    xb = _run_phase(a[rows], c, basis, max_iter, b[rows])
+    x = np.zeros(n)
     x[basis] = np.maximum(xb, 0.0)
-    return LpResult(x[:n], float(c @ x[:n]))
+    return LpResult(x, float(c @ x))
 
 
-def _start_basis(a, start):
-    """Basis of a feasible vertex: its positive columns, artificials at zero.
+def _start_basis(a, support=()):
+    """Independent rows of `a` and a basis on them, as (rows, columns).
 
-    Each positive column of `start` goes on the row that partial pivoting
-    picks for it, and artificials fill the other rows, so the basis matrix
-    is nonsingular exactly when those columns are independent. Raises
-    `SolverError` when they are not.
+    Gaussian elimination on a copy of `a`. First each column of `support`,
+    in order, pivots on the free row with the largest entry (partial
+    pivoting); a largest entry at or below PIVOT_TOL max|a_col| means the
+    support is dependent and raises `SolverError`. Then each remaining row,
+    in index order, pivots on the non-basic column with the largest entry
+    of its eliminated row (the Schur-complement row); a row whose largest
+    entry is at or below 1e-10 ||a_i|| is dependent on the rows before it
+    and is dropped. Dependent rows (common after realifying
+    conjugate-symmetric complex matrices) would make every basis singular;
+    the dropped rows need no consistency check when the caller's point
+    satisfies every row. `rows` ascend and columns[i] is the column pivoted
+    on rows[i]; the simplex breaks ratio-test ties by basis position, so
+    this order is part of its pivot rule.
     """
-    m, n = a.shape
-    support = np.flatnonzero(start > 0.0)
-    if support.size > m:
-        raise SolverError("start columns are dependent")
-    basis = list(range(n, n + m))
-    work = a[:, support].copy()
-    free = np.ones(m, dtype=bool)
-    for j, col in enumerate(support):
-        mag = np.where(free, np.abs(work[:, j]), -1.0)
-        r = int(np.argmax(mag))
-        if mag[r] <= PIVOT_TOL * np.abs(a[:, col]).max():
+    work = np.array(a, dtype=float)
+    m = work.shape[0]
+    order = np.arange(m)  # the row of `a` at each position of `work`
+    basic = np.full(m, -1)  # the column pivoted on each row of `a`
+
+    def pivot(p, j):
+        basic[order[p]] = j
+        work[p + 1:] -= np.outer(work[p + 1:, j] / work[p, j], work[p])
+        work[p + 1:, j] = 0.0  # exactly, so a basic column is never picked again
+
+    for k, j in enumerate(support):
+        mag = np.abs(work[k:, j])
+        if mag.size == 0 or mag.max() <= PIVOT_TOL * np.abs(a[:, j]).max():
             raise SolverError("start columns are dependent")
-        free[r] = False
-        basis[r] = int(col)
-        work[free, j + 1:] -= np.outer(work[free, j] / work[r, j], work[r, j + 1:])
-    return basis
+        # move the pivot row r up to position k; the free rows stay in index order
+        r = k + int(np.argmax(mag))
+        move = np.r_[r, k:r]
+        work[k:r + 1], order[k:r + 1] = work[move], order[move]
+        pivot(k, int(j))
+    for p in range(len(support), m):
+        j = int(np.argmax(np.abs(work[p])))
+        if abs(work[p, j]) > 1e-10 * np.linalg.norm(a[order[p]]):
+            pivot(p, j)
+    rows = np.flatnonzero(basic >= 0)
+    return rows, basic[rows]
 
 
-def _purge_artificials(full_a, basis, n):
-    """Swap basic artificial variables (all at ~0) for structural columns.
-
-    The constraint rows are independent, so every basis row admits a
-    structural pivot; degenerate pivots at value zero keep the solution
-    unchanged while guaranteeing the simplex cannot move an artificial off
-    zero.
-    """
-    m = full_a.shape[0]
-    for i in range(m):
-        if basis[i] < n:
-            continue
-        b_mat = full_a[:, basis]
-        e_i = np.zeros(m)
-        e_i[i] = 1.0
-        binv_row = np.linalg.solve(b_mat.T, e_i)
-        vals = np.abs(binv_row @ full_a[:, :n])
-        vals[[j for j in basis if j < n]] = 0.0
-        j = int(np.argmax(vals))
-        if vals[j] > PIVOT_TOL:
-            basis[i] = j
-
-
-def _run_phase(full_a, cvec, basis, max_iter, b):
+def _run_phase(a, cvec, basis, max_iter, b):
     """Revised simplex iterations, refactoring the basis every step.
 
-    Factorizing ``full_a[:, basis]`` each iteration costs O(m^3) but removes
+    Factorizing ``a[:, basis]`` each iteration costs O(m^3) but removes
     the numerical drift of maintained product-form inverses; the bases here
-    are small enough that robustness wins. Only the structural columns are
-    priced, so the m artificial columns at the end never enter. Returns the
-    basic solution.
+    are small enough that robustness wins. `a` has independent rows and
+    `basis` holds one column per row. Returns the basic solution.
     """
-    n = full_a.shape[1] - full_a.shape[0]
     stall = 0
     best_obj = np.inf
     for _ in range(max_iter):
-        b_mat = full_a[:, basis]
+        b_mat = a[:, basis]
         try:
             xb = np.linalg.solve(b_mat, b)
             y = np.linalg.solve(b_mat.T, cvec[basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis matrix") from exc
-        reduced = cvec - y @ full_a
+        reduced = cvec - y @ a
         reduced[basis] = 0.0
-        cand = np.flatnonzero(reduced[:n] < -PIVOT_TOL)
+        cand = np.flatnonzero(reduced < -PIVOT_TOL)
         if cand.size == 0:
             return xb
         obj = float(cvec[basis] @ xb)
@@ -167,7 +132,7 @@ def _run_phase(full_a, cvec, basis, max_iter, b):
             entering = int(cand[0])  # Bland
         else:
             entering = int(cand[np.argmin(reduced[cand])])
-        direction = np.linalg.solve(b_mat, full_a[:, entering])
+        direction = np.linalg.solve(b_mat, a[:, entering])
         pos = np.flatnonzero(direction > PIVOT_TOL)
         if pos.size == 0:
             raise SolverError("LP unbounded (unexpected for basis pursuit)")

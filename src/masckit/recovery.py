@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lp import solve_standard_lp
+from .lp import _start_basis, solve_standard_lp
 
 __all__ = [
     "RecoveryProblem",
@@ -77,46 +77,21 @@ def realify(complex_matrix: np.ndarray) -> np.ndarray:
     return np.vstack([c.real, c.imag])
 
 
-def _independent_columns(a: np.ndarray) -> list[int]:
-    """Indices of columns of `a` that span its range, by pivoted Gram-Schmidt.
-
-    Each step takes the column with the largest residual off the span of
-    the columns taken so far, among those whose residual exceeds 1e-10 of
-    max(||a_j||, 1), the rank rule of the LP's row presolve. Residuals are
-    projected from scratch, twice, so the basis stays orthonormal to
-    rounding.
-    """
-    m, n = a.shape
-    floor = 1e-10 * np.maximum(np.linalg.norm(a, axis=0), 1.0)
-    q = np.empty((0, m))
-    cols: list[int] = []
-    while len(cols) < min(m, n):
-        r = a - q.T @ (q @ a)
-        r -= q.T @ (q @ r)
-        norms = np.linalg.norm(r, axis=0)
-        norms[norms <= floor] = 0.0
-        j = int(np.argmax(norms))
-        if norms[j] == 0.0:
-            break
-        cols.append(j)
-        q = np.vstack([q, r[:, j] / norms[j]])
-    return cols
-
-
 def basis_pursuit(problem: RecoveryProblem) -> np.ndarray:
     """Solve min ||x||_1 s.t. measurement @ x = observed; returns x_hat.
 
     When the minimizer is not unique, x_hat is one of them; `recovery_trial`
     decides uniqueness. The simplex starts at x0 split by sign, where x0
-    solves the system on independent columns and is zero elsewhere: a basic
-    solution, so (x0+, x0-) is a vertex. An observed vector outside the
-    range of the matrix raises `SolverError`, since x0 misses it.
+    solves the system on the independent rows and basis columns that the
+    LP's own elimination picks, and is zero elsewhere: a basic solution, so
+    (x0+, x0-) is a vertex. An observed vector outside the range of the
+    matrix raises `SolverError`, since x0 misses it.
     """
     a = problem.measurement
     n = a.shape[1]
-    cols = _independent_columns(a)
+    rows, cols = _start_basis(a)
     x0 = np.zeros(n)
-    x0[cols] = np.linalg.lstsq(a[:, cols], problem.observed, rcond=None)[0]
+    x0[cols] = np.linalg.solve(a[rows][:, cols], problem.observed[rows])
     start = np.concatenate([np.maximum(x0, 0.0), np.maximum(-x0, 0.0)])
     res = solve_standard_lp(np.hstack([a, -a]), problem.observed, np.ones(2 * n), start)
     return res.x[:n] - res.x[n:]

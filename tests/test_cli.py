@@ -4,7 +4,7 @@ import pytest
 
 import masckit.cli
 from masckit.cli import main
-from masckit.errors import NumericalBoundaryError
+from masckit.errors import NumericalBoundaryError, SolverError
 from masckit.masc import MembershipVerdict
 
 CHAIN_GRAPH = "6 7\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n5 1\n"
@@ -49,6 +49,24 @@ class TestRecoverRate:
         out = json.loads(capsys.readouterr().out)
         assert out["recovered"] is False
         assert set(out) == {"recovered", "x_hat"}
+
+    @pytest.mark.parametrize("cmd", ["recover", "rate"])
+    def test_solver_error_exits_4(self, monkeypatch, matrix_file, tmp_path, cmd, capsys):
+        def fail(*args, **kwargs):
+            raise SolverError("simplex iteration limit reached")
+
+        monkeypatch.setattr(masckit.cli, "basis_pursuit", fail)
+        monkeypatch.setattr(masckit.cli, "recovery_rate", fail)
+        sig = tmp_path / "x.txt"
+        sig.write_text("3 1\n4/5\n0\n0\n")
+        args = {
+            "recover": ["recover", "--matrix", matrix_file, "--signal", str(sig)],
+            "rate": ["rate", "--matrix", matrix_file, "--sparsity", "1", "--trials", "2"],
+        }[cmd]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: simplex iteration limit reached\n"
 
     def test_rate_csv_row(self, matrix_file, capsys):
         code = main(

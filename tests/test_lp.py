@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from masckit.dft import band_spec
 from masckit.errors import SolverError
 from masckit.graphs import erdos_renyi, incidence_matrix
-from masckit.lp import LpResult, _drop_dependent_rows, solve_standard_lp
+from masckit.lp import LpResult, _start_basis, solve_standard_lp
 from masckit.recovery import realify
 
 
@@ -40,7 +40,7 @@ def test_unbounded_raises():
 
 
 def test_redundant_rows():
-    # duplicated constraint keeps an artificial basic at zero; still optimal
+    # the duplicated constraint is dropped as dependent; still optimal
     a = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([2.0, 2.0, 1.0])
     res = solve_standard_lp(a, b, np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.0, 1.0]))
@@ -54,21 +54,6 @@ def test_result_type():
     assert np.allclose(res.x, [1.0, 1.0])
 
 
-def gram_schmidt_kept_rows(a):
-    """Reference presolve: row i is kept when its residual off the span of
-    the rows before it exceeds 1e-10 of max(||a_i||, 1)."""
-    kept, q = [], []
-    for i, row in enumerate(a):
-        r = row.copy()
-        for u in q:
-            r -= (u @ row) * u
-        norm = np.linalg.norm(r)
-        if norm > 1e-10 * max(np.linalg.norm(row), 1.0):
-            kept.append(i)
-            q.append(r / norm)
-    return kept
-
-
 @pytest.mark.parametrize(
     "a",
     [
@@ -77,14 +62,40 @@ def gram_schmidt_kept_rows(a):
         np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]]),  # m > n
         np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]),  # zero row
         incidence_matrix(erdos_renyi(30, 0.2, 3)).to_float_array(),  # rank m - 1
+        1e-12 * np.array([[1.0, 2.0], [3.0, 1.0]]),  # no absolute floor
     ],
-    ids=["band19", "band61", "tall", "zero-row", "incidence"],
+    ids=["band19", "band61", "tall", "zero-row", "incidence", "tiny"],
 )
-def test_drop_dependent_rows_matches_gram_schmidt(a):
-    b = a @ np.arange(1.0, a.shape[1] + 1)  # consistent right-hand side
-    kept = gram_schmidt_kept_rows(a)
-    ak, bk = _drop_dependent_rows(a, b)
-    assert np.array_equal(ak, a[kept]) and np.array_equal(bk, b[kept])
+def test_start_basis_rows_and_block(a):
+    rank = np.linalg.matrix_rank(a)
+    rows, cols = _start_basis(a)
+    assert len(rows) == len(cols) == rank
+    assert np.linalg.cond(a[rows][:, cols]) <= 1e3
+    # a given support pivots first: it is basic, its first column on the row
+    # of its largest entry, and the basis still spans the rows
+    support = [int(j) for j in cols[::-2]]
+    rows, cols = _start_basis(a, support)
+    assert set(support) <= set(cols.tolist())
+    assert rows[list(cols).index(support[0])] == np.argmax(np.abs(a[:, support[0]]))
+    assert len(rows) == len(set(cols.tolist())) == rank
+    assert np.linalg.matrix_rank(a[rows][:, cols]) == rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(2, 8))
+def test_start_basis_with_duplicated_rows(seed, m, n):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, size=(m, n)).astype(float)
+    a = np.vstack([a, a[rng.integers(0, m, size=2)]])
+    support = [int(j) for j in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+    if np.linalg.matrix_rank(a[:, support]) < len(support):
+        with pytest.raises(SolverError, match="dependent"):
+            _start_basis(a, support)
+    else:
+        rows, cols = _start_basis(a, support)
+        assert set(support) <= set(cols.tolist())
+        assert len(rows) == np.linalg.matrix_rank(a)
+        assert np.linalg.matrix_rank(a[rows][:, cols]) == len(rows)
 
 
 @settings(max_examples=60, deadline=None)

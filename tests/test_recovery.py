@@ -78,6 +78,15 @@ class TestBasisPursuit:
         with pytest.raises(SolverError, match="equality"):
             basis_pursuit(RecoveryProblem(a, np.array([1.0, 2.0])))
 
+    def test_small_scale(self):
+        # no tolerance is absolute: at scale 1e-12 the system is still solved,
+        # not answered by x = 0
+        a = 1e-12 * np.array([[1.0, 2.0], [3.0, 1.0]])
+        y = 1e-12 * np.ones(2)
+        x = basis_pursuit(RecoveryProblem(a, y))
+        assert x == pytest.approx([0.2, 0.4], rel=1e-12)
+        assert np.allclose(a @ x, y, rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize(
         "a",
         [
@@ -201,17 +210,21 @@ class TestRecoveryTrial:
                 assert recovery_trial(a, x)
 
     @pytest.mark.parametrize(
-        "solve",
+        "solve, width",
         [
-            recovery_trial,
-            lambda a, x: np.allclose(basis_pursuit(RecoveryProblem(a, a @ x)), x, atol=1e-9),
+            (recovery_trial, 2 * 19 + 1),
+            (
+                lambda a, x: np.allclose(basis_pursuit(RecoveryProblem(a, a @ x)), x, atol=1e-9),
+                2 * 19,
+            ),
         ],
         ids=["recovery_trial", "basis_pursuit"],
     )
-    def test_lp_starts_at_a_vertex(self, monkeypatch, solve):
+    def test_lp_starts_at_a_vertex(self, monkeypatch, solve, width):
         # step 1 leaves this trial undecided, so recovery_trial solves the
         # uniqueness LP from x; basis pursuit starts from a basic solution.
-        # Either way the simplex runs once, from the start it is given
+        # Either way the simplex runs once, from the start it is given, on
+        # the LP's own columns and nothing appended
         calls = []
         run_phase = masckit.lp._run_phase
 
@@ -223,6 +236,7 @@ class TestRecoveryTrial:
         a = realify(band_spec(19, 7).partial_matrix())
         assert solve(a, random_sparse_signal(19, 5, (0, 0)))
         assert len(calls) == 1
+        assert calls[0][0].shape[1] == width
 
     def test_input_checks(self):
         with pytest.raises(InputError):
