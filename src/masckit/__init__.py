@@ -25,14 +25,12 @@ from .errors import (
 from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
     DirectedSimpleGraph,
-    SimpleCycle,
     enumerate_simple_cycles,
     erdos_renyi,
     girth,
     incidence_matrix,
     masc_contains_graph,
     nsc_graph,
-    w1,
 )
 from .linalg import (
     NullspaceBasis,

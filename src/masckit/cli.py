@@ -53,6 +53,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_BOUNDARY = 4
 
+DEFAULT_SAMPLES = 1000
+
 
 def _indices(text: str) -> list[int]:
     try:
@@ -132,12 +134,12 @@ def _cmd_graph(args) -> int:
         print("inf" if val == float("inf") else int(val))
         return EXIT_OK
     if args.graph_cmd == "cycles":
-        for cyc in enumerate_simple_cycles(g, cap=args.cap):
-            print(" ".join(str(i) for i in cyc.edge_indices))
+        for point in enumerate_simple_cycles(g, cap=args.cap):
+            print(" ".join(str(i) for i in point.support.indices))
         return EXIT_OK
     if args.graph_cmd == "masc-check":
         s = SupportSet.of(g.edge_count, _indices(args.support))
-        v = masc_contains_graph(g, s, lazy=args.lazy, cap=args.cap)
+        v = masc_contains_graph(g, s, cap=args.cap)
         return _emit_verdict(v, args.strict)
     raise InputError("unknown graph subcommand")
 
@@ -146,6 +148,23 @@ def _dft_spec(args):
     if args.omega is not None:
         return symmetrize_omega(args.n, _indices(args.omega))
     return band_spec(args.n, args.mbar)
+
+
+def _gamma_options(args, sampled: bool) -> dict:
+    """The Gamma search options of the chosen mode: --budget bounds an
+    exhaustive search, --samples and --seed drive a sampled one. A flag of
+    the other mode is a usage error rather than silently ignored."""
+    if sampled:
+        if args.budget is not None:
+            raise InputError("--budget applies to an exhaustive search only")
+        return {
+            "sample_size": DEFAULT_SAMPLES if args.samples is None else args.samples,
+            "seed": 0 if args.seed is None else args.seed,
+        }
+    for name in ("samples", "seed"):
+        if getattr(args, name) is not None:
+            raise InputError(f"--{name} applies to a sampled search only")
+    return {"budget": DEFAULT_GAMMA_BUDGET if args.budget is None else args.budget}
 
 
 def _cmd_dft(args) -> int:
@@ -165,12 +184,9 @@ def _cmd_dft(args) -> int:
         return EXIT_OK
     if args.dft_cmd == "mrsl":
         spec = _dft_spec(args)
-        if args.exact:
-            value = s_max_exact(spec, budget=args.budget)
-            mode = "exact"
-        else:
-            value = s_max_sampled(spec, args.samples, args.seed)
-            mode = "sampled"
+        options = _gamma_options(args, sampled=not args.exact)
+        value = (s_max_exact if args.exact else s_max_sampled)(spec, **options)
+        mode = "exact" if args.exact else "sampled"
         print(
             json.dumps(
                 {"n": spec.n, "omega_size": spec.m, "mode": mode, "s_max": value}
@@ -180,14 +196,8 @@ def _cmd_dft(args) -> int:
     if args.dft_cmd == "masc-check":
         spec = _dft_spec(args)
         s = SupportSet.of(spec.n, _indices(args.support))
-        v = masc_contains_dft(
-            spec,
-            s,
-            budget=args.budget,
-            sampled=args.sampled,
-            sample_size=args.samples,
-            seed=args.seed,
-        )
+        options = _gamma_options(args, sampled=args.sampled)
+        v = masc_contains_dft(spec, s, sampled=args.sampled, **options)
         gamma = v.witness.support.indices if v.witness is not None else None
         return _emit_verdict(v, args.strict, worst_gamma=gamma)
     raise InputError("unknown dft subcommand")
@@ -237,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
             gp.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP)
         if name == "masc-check":
             gp.add_argument("--support", required=True)
-            gp.add_argument("--lazy", action="store_true")
     gp = gsub.add_parser("er")
     gp.add_argument("--vertices", type=int, required=True)
     gp.add_argument("--p", type=float, required=True)
@@ -253,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         which.add_argument("--omega")
         which.add_argument("--mbar", type=int)
         if name != "bound":
-            dp.add_argument("--budget", type=int, default=DEFAULT_GAMMA_BUDGET)
-            dp.add_argument("--samples", type=int, default=1000)
-            dp.add_argument("--seed", type=int, default=0)
+            # None marks a flag left out; _gamma_options fills in the default
+            dp.add_argument("--budget", type=int)
+            dp.add_argument("--samples", type=int)
+            dp.add_argument("--seed", type=int)
         if name == "masc-check":
             dp.add_argument("--support", required=True)
             dp.add_argument("--sampled", action="store_true")

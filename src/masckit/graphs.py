@@ -9,7 +9,7 @@ nullspace constant collapses to min(1, s/girth).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
@@ -17,15 +17,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, InputError
 from .linalg import RealMatrix
-from .masc import HALF, ExtremePoint, MembershipVerdict, SupportSet
+from .masc import ExtremePoint, MembershipVerdict, SupportSet
 
 __all__ = [
     "DirectedSimpleGraph",
-    "SimpleCycle",
     "incidence_matrix",
     "enumerate_simple_cycles",
     "girth",
-    "w1",
     "masc_contains_graph",
     "nsc_graph",
     "erdos_renyi",
@@ -69,22 +67,6 @@ class DirectedSimpleGraph:
         return g
 
 
-@dataclass(frozen=True)
-class SimpleCycle:
-    """A simple cycle by its signed edge-characteristic vector."""
-
-    signed_char_vector: tuple[int, ...]
-    edge_indices: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        edges = tuple(i for i, s in enumerate(self.signed_char_vector) if s != 0)
-        object.__setattr__(self, "edge_indices", edges)
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_indices)
-
-
 def incidence_matrix(g: DirectedSimpleGraph) -> RealMatrix:
     """Vertex-by-edge matrix: -1 at each edge's tail, +1 at its head."""
     a = np.zeros((g.vertex_count, g.edge_count), dtype=np.int8)
@@ -95,55 +77,47 @@ def incidence_matrix(g: DirectedSimpleGraph) -> RealMatrix:
     return RealMatrix(g.vertex_count, g.edge_count, tuple(a.ravel().tolist()))
 
 
-def _cycle_from_nodes(edge_index: dict, m: int, nodes: list[int]) -> SimpleCycle:
-    char = [0] * m
-    for u, v in zip(nodes, nodes[1:] + nodes[:1]):
-        idx, sign = edge_index[(u, v)]
-        char[idx] = sign
-    # canonical orientation: lowest-indexed edge traversed forward
-    first = next(i for i, s in enumerate(char) if s != 0)
-    if char[first] < 0:
-        char = [-s for s in char]
-    return SimpleCycle(tuple(char))
-
-
-def iter_simple_cycles(g: DirectedSimpleGraph):
-    """Streaming cycle generator (no cap, no deterministic global order)."""
+def _cycles(g: DirectedSimpleGraph, cap: int, length_bound: int | None = None):
+    """Each simple cycle of at most length_bound edges (all when None) of the
+    underlying undirected graph, once, as its sorted edge indices and the
+    +-1 direction it traverses each in, the lowest-indexed edge forward.
+    Raises once more than cap cycles have been seen."""
     edge_index = {}
     for idx, (tail, head) in enumerate(g.edges):
         edge_index[(tail, head)] = (idx, 1)
         edge_index[(head, tail)] = (idx, -1)
-    for nodes in nx.simple_cycles(g.undirected()):
-        yield _cycle_from_nodes(edge_index, g.edge_count, nodes)
-
-
-def _capped(cycles, cap: int):
-    """Pass cycles through, raising once more than cap have been seen."""
-    for count, cyc in enumerate(cycles, 1):
+    cycles = nx.simple_cycles(g.undirected(), length_bound)
+    for count, nodes in enumerate(cycles, 1):
         if count > cap:
             raise BudgetExceededError(
                 f"more than {cap} simple cycles; raise the cap"
             )
-        yield cyc
+        steps = sorted(edge_index[e] for e in zip(nodes, nodes[1:] + nodes[:1]))
+        indices, signs = zip(*steps)
+        yield indices, signs if signs[0] > 0 else tuple(-s for s in signs)
+
+
+def _point(m: int, indices, signs) -> ExtremePoint:
+    """The cycle's signed characteristic vector, l1-normalized."""
+    step = Fraction(1, len(indices))
+    vec = [Fraction(0)] * m
+    for i, sign in zip(indices, signs):
+        vec[i] = step if sign > 0 else -step
+    return ExtremePoint(tuple(vec), SupportSet(m, indices))
 
 
 def enumerate_simple_cycles(
     g: DirectedSimpleGraph, cap: int = DEFAULT_CYCLE_CAP
-) -> list[SimpleCycle]:
-    """All simple cycles of the underlying undirected graph, each once.
+) -> list[ExtremePoint]:
+    """W1: the extreme points of the flow space intersected with the l1
+    ball, up to antipodes, one normalized signed cycle vector per simple
+    cycle of the underlying undirected graph.
 
     Deterministic order: by length, then lexicographically by sorted
     edge-index set. Raises when the cycle count exceeds the cap.
     """
-    out = list(_capped(iter_simple_cycles(g), cap))
-    out.sort(key=lambda c: (c.length, c.edge_indices))
-    return out
-
-
-def _cycle_point(cyc: SimpleCycle) -> ExtremePoint:
-    """The cycle's signed characteristic vector, l1-normalized."""
-    vec = tuple(Fraction(s, cyc.length) for s in cyc.signed_char_vector)
-    return ExtremePoint(vec, SupportSet(len(vec), cyc.edge_indices))
+    cycles = sorted(_cycles(g, cap), key=lambda c: (len(c[0]), c[0]))
+    return [_point(g.edge_count, *c) for c in cycles]
 
 
 def girth(g: DirectedSimpleGraph) -> float:
@@ -151,45 +125,38 @@ def girth(g: DirectedSimpleGraph) -> float:
     return nx.girth(g.undirected())
 
 
-def w1(g: DirectedSimpleGraph) -> list[ExtremePoint]:
-    """Normalized signed characteristic vectors, one per cycle.
-
-    These are exactly the extreme points of the flow space intersected with
-    the l1 ball, up to antipodes.
-    """
-    return [_cycle_point(cyc) for cyc in enumerate_simple_cycles(g)]
-
-
 def masc_contains_graph(
-    g: DirectedSimpleGraph,
-    s: SupportSet,
-    lazy: bool = False,
-    cap: int = DEFAULT_CYCLE_CAP,
+    g: DirectedSimpleGraph, s: SupportSet, cap: int = DEFAULT_CYCLE_CAP
 ) -> MembershipVerdict:
     """Exact integer-arithmetic membership check over edge supports.
 
     A support is in the family iff 2 * |S intersect cycle| < cycle length for
-    every simple cycle. Both modes stream the cycles and raise past cap
-    cycles. Lazy mode stops at the first violation, its witness; otherwise
-    the margin is the smallest over every cycle and an "out" verdict's
-    witness is the shortest, then lexicographically first, cycle attaining
-    it.
+    every simple cycle. The margin is the smallest over every cycle, and an
+    "out" verdict's witness is the shortest, then lexicographically first,
+    cycle attaining it. A violating cycle has at most 2|S| edges, so the
+    cycles that short are read first; only when none of them violates are
+    all cycles read. Raises past cap cycles in either pass.
     """
     if s.ambient_dim != g.edge_count:
         raise InputError("support must index the graph's edges")
     sset = set(s.indices)
-    worst = None  # (-mass, length, edge indices) of the worst cycle so far
-    witness = None
-    for cyc in _capped(iter_simple_cycles(g), cap):
-        edges = cyc.edge_indices
-        mass = Fraction(sum(1 for i in edges if i in sset), len(edges))
-        key = (-mass, len(edges), edges)
-        if worst is None or key < worst:
-            worst, witness = key, cyc
-            if lazy and mass >= HALF:
-                break
-    mass = 0 if worst is None else -worst[0]
-    return MembershipVerdict.from_mass(mass, lambda: _cycle_point(witness))
+    short = 2 * len(sset)
+    for bound in (short, None) if short < g.vertex_count else (None,):
+        # worst cycle so far: most hits per edge, then fewest edges, then
+        # lowest edge indices; no cycle counts as 0 hits in 1 edge
+        hits, length, worst = 0, 1, None
+        for edges, signs in _cycles(g, cap, bound):
+            h = sum(i in sset for i in edges)
+            gain = h * length - hits * len(edges)
+            if worst is None or gain > 0 or (
+                gain == 0 and (len(edges), edges) < (length, worst[0])
+            ):
+                hits, length, worst = h, len(edges), (edges, signs)
+        if 2 * hits >= length:
+            break
+    return MembershipVerdict.from_mass(
+        Fraction(hits, length), lambda: _point(g.edge_count, *worst)
+    )
 
 
 def nsc_graph(s: int, g: DirectedSimpleGraph) -> Fraction:

@@ -87,7 +87,7 @@ def test_criterion_02_sum_row_extreme_points():
 
 def test_criterion_03_chain_graph_fixture(chain_graph):
     cycles = enumerate_simple_cycles(chain_graph)
-    edge_sets = [set(c.edge_indices) for c in cycles]
+    edge_sets = [set(p.support.indices) for p in cycles]
     ok = edge_sets == [{0, 1, 2}, {1, 3, 4, 5, 6}, {0, 2, 3, 4, 5, 6}]
     ok = ok and masc_contains_graph(chain_graph, SupportSet.of(7, [0, 4])).in_masc
     ok = ok and not masc_contains_graph(chain_graph, SupportSet.of(7, [0, 1])).in_masc

@@ -22,9 +22,9 @@ MODULE_ALL = {
     ],
     masckit.experiments: ["ExperimentConfig", "run_experiment"],
     masckit.graphs: [
-        "DirectedSimpleGraph", "SimpleCycle", "incidence_matrix",
-        "enumerate_simple_cycles", "girth", "w1", "masc_contains_graph",
-        "nsc_graph", "erdos_renyi", "parse_graph_text", "format_graph_text",
+        "DirectedSimpleGraph", "incidence_matrix", "enumerate_simple_cycles",
+        "girth", "masc_contains_graph", "nsc_graph", "erdos_renyi",
+        "parse_graph_text", "format_graph_text",
     ],
     masckit.linalg: [
         "RealMatrix", "NullspaceBasis", "nullspace_basis", "float_nullspace_basis",
@@ -52,8 +52,8 @@ PACKAGE_NAMES = {
     # experiments
     "ExperimentConfig", "run_experiment",
     # graphs
-    "DirectedSimpleGraph", "SimpleCycle", "enumerate_simple_cycles", "erdos_renyi",
-    "girth", "incidence_matrix", "masc_contains_graph", "nsc_graph", "w1",
+    "DirectedSimpleGraph", "enumerate_simple_cycles", "erdos_renyi", "girth",
+    "incidence_matrix", "masc_contains_graph", "nsc_graph",
     # linalg
     "NullspaceBasis", "RealMatrix", "dft_matrix", "float_nullspace_basis",
     "nullspace_basis",
@@ -89,6 +89,17 @@ def test_lp_signature_pinned():
     ]
     fields = dataclasses.fields(masckit.lp.LpResult)
     assert [f.name for f in fields] == ["x", "objective"]
+
+
+def test_graph_api_pinned():
+    # one membership mode, bounded by the cycle cap; the cycles are the
+    # extreme points
+    params = inspect.signature(masckit.masc_contains_graph).parameters
+    assert list(params) == ["g", "s", "cap"]
+    g = masckit.DirectedSimpleGraph(4, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 0)))
+    points = masckit.enumerate_simple_cycles(g)
+    assert len(points) == 3
+    assert all(isinstance(p, masckit.ExtremePoint) and p.exact for p in points)
 
 
 def test_benchmark_calls_on_changed_types():

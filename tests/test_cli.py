@@ -1,14 +1,18 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import masckit.cli
-from masckit.cli import main
+from masckit.cli import build_parser, main
 from masckit.errors import NumericalBoundaryError, SolverError
 from masckit.masc import MembershipVerdict
 
 CHAIN_GRAPH = "6 7\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n5 1\n"
 TRIANGLE = "3 3\n-1 0 1\n1 -1 0\n0 1 -1\n"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -106,14 +110,27 @@ class TestGraphCommands:
         assert main(["graph", "cycles", graph_file, "--cap", "1"]) == 3
         assert "raise the cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lazy", [[], ["--lazy"]], ids=["exhaustive", "lazy"])
-    def test_masc_check_cap_budget_exit(self, tmp_path, lazy, capsys):
+    def test_masc_check_cap_budget_exit(self, tmp_path, capsys):
         # K6 has far more than 5 simple cycles and a single edge is inside
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         g = tmp_path / "k6.txt"
         g.write_text(f"6 {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges))
         assert main(["graph", "masc-check", str(g), "--support", "0",
-                     "--cap", "5", *lazy]) == 3
+                     "--cap", "5"]) == 3
+        assert "raise the cap" in capsys.readouterr().err
+
+    def test_masc_check_cap_bounds_in_verdicts_only(self, tmp_path, capsys):
+        # K7: {0, 1} is out on a triangle among its 140 cycles of at most 4
+        # edges; {0} is in only after all 1172 cycles, past the cap
+        edges = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        g = tmp_path / "k7.txt"
+        g.write_text(f"7 {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+        assert main(["graph", "masc-check", str(g), "--support", "0,1",
+                     "--cap", "200"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "out" and out["witness_support"] == [0, 1, 6]
+        assert main(["graph", "masc-check", str(g), "--support", "0",
+                     "--cap", "200"]) == 3
         assert "raise the cap" in capsys.readouterr().err
 
     def test_girth_takes_no_cap(self, graph_file, capsys):
@@ -174,6 +191,21 @@ class TestDftCommands:
     def test_exact_over_budget_exit(self, capsys):
         assert main(["dft", "mrsl", "--n", "61", "--mbar", "15", "--exact",
                      "--budget", "100"]) == 3
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("masc-check --n 19 --mbar 7 --support 0 --samples 5 --seed -4", "--samples"),
+        ("masc-check --n 19 --mbar 7 --support 0 --seed 3", "--seed"),
+        ("masc-check --n 19 --mbar 7 --support 0 --sampled --budget 3", "--budget"),
+        ("mrsl --n 19 --mbar 7 --exact --seed -1", "--seed"),
+        ("mrsl --n 19 --mbar 7 --exact --samples 10", "--samples"),
+        ("mrsl --n 19 --mbar 7 --budget 3", "--budget"),
+        # this one exited 3 with "use sampled mode"
+        ("masc-check --n 61 --mbar 15 --support 0 --samples 50", "--samples"),
+    ])
+    def test_flag_of_other_mode_usage_exit(self, argv, flag, capsys):
+        # each of these once ran, ignoring the flag
+        assert main(["dft", *argv.split()]) == 2
+        assert capsys.readouterr().err.startswith("error: " + flag)
 
     def test_nonprime_usage_exit(self, capsys):
         assert main(["dft", "bound", "--n", "9", "--mbar", "2"]) == 2
@@ -373,3 +405,37 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert "ouput_csv" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+
+def readme_cli_lines(text: str) -> list[str]:
+    """The `masckit ...` lines of the README's `## CLI` code block."""
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```", 2)[1]
+    return [ln.split("#", 1)[0] for ln in block.splitlines() if ln.startswith("masckit ")]
+
+
+def options_of(parser: argparse.ArgumentParser) -> set[str]:
+    return {o for action in parser._actions for o in action.option_strings}
+
+
+def subparser(parser: argparse.ArgumentParser, name: str):
+    """The parser of subcommand `name`, or None when parser takes none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices[name]
+    return None
+
+
+def test_readme_cli_flags_match_parser():
+    # every flag the README shows on a `masckit <cmd> [<sub>]` line is an
+    # option of that (sub)parser; a flag the parser lost fails here
+    lines = readme_cli_lines(README.read_text(encoding="utf-8"))
+    assert lines
+    unknown = []
+    for line in lines:
+        words = line.split()[1:]
+        cmd = subparser(build_parser(), words[0])
+        parser = subparser(cmd, words[1]) or cmd
+        unknown += [f"{line.strip()}: {flag}" for flag in re.findall(r"--[\w-]+", line)
+                    if flag not in options_of(parser)]
+    assert unknown == []

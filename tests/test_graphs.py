@@ -21,7 +21,6 @@ from masckit.graphs import (
     masc_contains_graph,
     nsc_graph,
     parse_graph_text,
-    w1,
 )
 from masckit.linalg import RealMatrix
 from masckit.masc import (
@@ -131,15 +130,15 @@ class TestIncidenceMatrix:
 
     def test_char_vectors_in_nullspace(self, chain_graph):
         m = incidence_matrix(chain_graph)
-        for cyc in enumerate_simple_cycles(chain_graph):
+        for p in enumerate_simple_cycles(chain_graph):
             for i in range(m.rows):
-                assert sum(m[i, j] * cyc.signed_char_vector[j] for j in range(m.cols)) == 0
+                assert sum(m[i, j] * p.vector[j] for j in range(m.cols)) == 0
 
 
 class TestCycleEnumeration:
     def test_chain_graph_cycles(self, chain_graph):
         cycles = enumerate_simple_cycles(chain_graph)
-        edge_sets = [set(c.edge_indices) for c in cycles]
+        edge_sets = [set(p.support.indices) for p in cycles]
         assert edge_sets == [{0, 1, 2}, {1, 3, 4, 5, 6}, {0, 2, 3, 4, 5, 6}]
 
     def test_tree_empty(self):
@@ -162,8 +161,8 @@ class TestCycleEnumeration:
             (v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges
         )
         g2 = DirectedSimpleGraph(g.vertex_count, flipped)
-        sets1 = sorted(frozenset(c.edge_indices) for c in enumerate_simple_cycles(g))
-        sets2 = sorted(frozenset(c.edge_indices) for c in enumerate_simple_cycles(g2))
+        sets1 = [p.support.indices for p in enumerate_simple_cycles(g)]
+        sets2 = [p.support.indices for p in enumerate_simple_cycles(g2)]
         assert sets1 == sets2
 
 
@@ -183,7 +182,7 @@ class TestGirth:
     def test_matches_cycle_enumeration(self, seed):
         g = random_connected_graph(random.Random(seed))
         cycles = enumerate_simple_cycles(g)
-        expected = min((c.length for c in cycles), default=math.inf)
+        expected = min((len(p.support) for p in cycles), default=math.inf)
         assert girth(g) == expected
         assert girth_reference(g) == expected
 
@@ -194,15 +193,16 @@ class TestGirth:
 
 
 class TestW1:
+    """enumerate_simple_cycles is W1: one extreme point per cycle."""
+
     def test_triangle(self, triangle):
-        vecs = w1(triangle)
+        vecs = enumerate_simple_cycles(triangle)
         assert len(vecs) == 1
         assert sorted(abs(x) for x in vecs[0].vector) == [Fraction(1, 3)] * 3
 
     def test_chain_graph_norms(self, chain_graph):
-        lengths = sorted(
-            {abs(x).denominator for v in w1(chain_graph) for x in v.vector if x}
-        )
+        points = enumerate_simple_cycles(chain_graph)
+        lengths = sorted({abs(x).denominator for v in points for x in v.vector if x})
         assert lengths == [3, 5, 6]
 
     @settings(max_examples=25, deadline=None)
@@ -210,7 +210,8 @@ class TestW1:
     def test_equals_generic_extreme_points(self, seed):
         g = random_connected_graph(random.Random(seed))
         fast = {
-            (p.support.indices, tuple(abs(x) for x in p.vector)) for p in w1(g)
+            (p.support.indices, tuple(abs(x) for x in p.vector))
+            for p in enumerate_simple_cycles(g)
         }
         generic = {
             (p.support.indices, tuple(abs(x) for x in p.vector))
@@ -232,16 +233,42 @@ class TestMascContainsGraph:
     def test_empty_in(self, chain_graph):
         assert masc_contains_graph(chain_graph, SupportSet.of(7, [])).in_masc
 
-    def test_lazy_agrees(self, chain_graph):
-        for r in range(4):
-            for sup in itertools.combinations(range(7), r):
-                s = SupportSet.of(7, sup)
-                lazy = masc_contains_graph(chain_graph, s, lazy=True)
-                full = masc_contains_graph(chain_graph, s)
-                assert lazy.in_masc == full.in_masc
-                if full.in_masc:
-                    # an "in" verdict has seen every cycle either way
-                    assert lazy.margin == full.margin
+    def test_witness_tie_breaks_on_edge_indices(self):
+        # two 5-cycles keep edges 0, 1, 2 and cross edge 2 in opposite
+        # directions; the witness is the one with the lower edge indices
+        g = DirectedSimpleGraph(
+            5, ((3, 0), (0, 4), (2, 1), (1, 3), (4, 1), (2, 3), (4, 2))
+        )
+        v = masc_contains_graph(g, SupportSet.of(7, [0, 1, 2]))
+        assert v.margin == Fraction(-1, 10)
+        assert v.witness.support.indices == (0, 1, 2, 3, 6)
+
+    def test_cap_bounds_in_verdicts_only(self):
+        # K7 has 1172 cycles, 140 of them of at most 4 edges: {0, 1} is out
+        # on a triangle among those, {0} needs every cycle to be in
+        g = DirectedSimpleGraph(7, tuple(itertools.combinations(range(7), 2)))
+        v = masc_contains_graph(g, SupportSet.of(21, [0, 1]), cap=200)
+        assert not v.in_masc and v.margin == Fraction(-1, 6)
+        assert v.witness.support.indices == (0, 1, 6)
+        with pytest.raises(BudgetExceededError):
+            masc_contains_graph(g, SupportSet.of(21, [0]), cap=200)
+
+    def test_short_cycle_decides_out(self):
+        # more than the default cap of cycles in all, but two edges of a
+        # triangle are out on the triangle
+        g = erdos_renyi(30, 0.2, 3)
+        ends = {frozenset(e): i for i, e in enumerate(g.edges)}
+        sup = next(
+            (ends[frozenset((u, v))], ends[frozenset((u, w))])
+            for u, v in g.edges for w in range(g.vertex_count)
+            if frozenset((u, w)) in ends and frozenset((v, w)) in ends
+        )
+        v = masc_contains_graph(g, SupportSet.of(g.edge_count, sup))
+        assert not v.in_masc and v.margin == Fraction(-1, 6)
+        a = incidence_matrix(g)
+        for i in range(a.rows):
+            assert sum(a[i, j] * v.witness.vector[j] for j in range(a.cols)) == 0
+        assert 2 * len(set(sup) & set(v.witness.support.indices)) >= len(v.witness.support)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6))
@@ -255,10 +282,10 @@ class TestMascContainsGraph:
         for r in range(4):
             for sup in itertools.combinations(range(n), r):
                 keys = [
-                    (Fraction(1, 2) - Fraction(len(set(c.edge_indices) & set(sup)),
-                                               c.length),
-                     c.length, c.edge_indices)
-                    for c in cycles
+                    (Fraction(1, 2) - Fraction(len(set(p.support.indices) & set(sup)),
+                                               len(p.support)),
+                     len(p.support), p.support.indices)
+                    for p in cycles
                 ]
                 v = masc_contains_graph(g, SupportSet.of(n, sup))
                 if not keys or min(keys)[0] > 0:
@@ -268,8 +295,8 @@ class TestMascContainsGraph:
                 margin, _, edges = min(keys)
                 assert not v.in_masc and v.margin == margin
                 assert v.witness.support.indices == edges
-                cyc = next(c for c in cycles if c.edge_indices == edges)
-                assert v.witness.sign_vector == cyc.signed_char_vector
+                p = next(p for p in cycles if p.support.indices == edges)
+                assert v.witness.sign_vector == p.sign_vector
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6))
